@@ -1,4 +1,4 @@
-//! E21 — grading-engine benchmark: fault dropping + sharded workers on
+//! E21 — grading-engine benchmark: fault dropping and the SoA engine on
 //! the nine-design random-pattern sweep. Prints the table and writes
 //! `BENCH_fsim.json` next to the working directory for perf tracking.
 
@@ -11,11 +11,9 @@ fn main() {
     let sweep = hlstb_bench::fsim_bench::sweep(patterns);
     print!("{}", sweep.table());
     println!(
-        "whole-sweep fault-phase speedup vs naive: drop {:.2}x, drop-2t {:.2}x, drop-4t {:.2}x, \
+        "whole-sweep fault-phase speedup vs naive: drop {:.2}x, \
          soa {:.2}x, soa-256 {:.2}x, soa-512 {:.2}x",
         sweep.speedup("drop"),
-        sweep.speedup("drop-2t"),
-        sweep.speedup("drop-4t"),
         sweep.speedup("soa"),
         sweep.speedup("soa-256"),
         sweep.speedup("soa-512")

@@ -1,5 +1,5 @@
-//! E21 — the fault-grading engine itself: fault dropping and sharded
-//! workers timed on the nine-design random-pattern sweep (the same
+//! E21 — the fault-grading engine itself: fault dropping and the SoA
+//! event engine timed on the nine-design random-pattern sweep (the same
 //! substrate as E13's coverage curves).
 //!
 //! Every configuration grades the *same* fault universe against the
@@ -7,9 +7,8 @@
 //! bit-identical; the sweep asserts that. What varies is only the work:
 //! the naive engine evaluates every live fault under every frame, the
 //! engine drops a fault the moment it is detected and restricts each
-//! faulty evaluation to the fault's output cone, and the sharded
-//! configurations split the universe across `std::thread::scope`
-//! workers.
+//! faulty evaluation to the fault's output cone, and the SoA
+//! configurations grade stem regions over wide pattern words.
 
 use std::time::Duration;
 
@@ -32,26 +31,11 @@ pub fn configs() -> Vec<(&'static str, ParallelOptions)> {
         (
             "naive",
             ParallelOptions {
-                threads: 1,
                 drop_detected: false,
                 ..ParallelOptions::default()
             },
         ),
-        (
-            "drop",
-            ParallelOptions {
-                threads: 1,
-                drop_detected: true,
-                ..ParallelOptions::default()
-            },
-        ),
-        // The threaded configurations keep the default small-universe
-        // gate: on the benchmark designs (402–1.7k faults, all below
-        // `DEFAULT_MIN_FAULTS_PER_THREAD`) they fall back to one worker,
-        // which is exactly the fix the sweep documents — sharding such
-        // small universes used to *lose* to serial dropping.
-        ("drop-2t", ParallelOptions::with_threads(2)),
-        ("drop-4t", ParallelOptions::with_threads(4)),
+        ("drop", ParallelOptions::default()),
         // The levelized structure-of-arrays engine at each pattern-word
         // width (64, 256, 512 patterns per frame chunk). Same universe,
         // same frames, same detected set — the sweep's assertion below
@@ -169,14 +153,13 @@ impl FsimSweep {
     /// each configuration and the dropped/evaluated work split.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
-            "E21  Grading engine: dropping, sharding, and the SoA event engine vs naive grading",
+            "E21  Grading engine: dropping and the SoA event engine vs naive grading",
             &[
                 "design",
                 "faults",
                 "cov %",
                 "naive ms",
                 "drop ms",
-                "drop-4t ms",
                 "soa ms",
                 "soa-256 ms",
                 "soa-512 ms",
@@ -210,7 +193,6 @@ impl FsimSweep {
                 format!("{:.1}", naive.coverage_percent),
                 ms(naive),
                 ms(drop),
-                ms(of("drop-4t")),
                 ms(of("soa")),
                 ms(of("soa-256")),
                 ms(of("soa-512")),
@@ -233,10 +215,6 @@ impl FsimSweep {
         out.push_str(&format!(
             "  \"speedup_drop_vs_naive\": {:.3},\n",
             self.speedup("drop")
-        ));
-        out.push_str(&format!(
-            "  \"speedup_drop_4t_vs_naive\": {:.3},\n",
-            self.speedup("drop-4t")
         ));
         out.push_str(&format!(
             "  \"speedup_soa_vs_naive\": {:.3},\n",
@@ -314,7 +292,6 @@ mod tests {
         for (name, _) in configs() {
             assert!(j.contains(&format!("\"config\": \"{name}\"")), "{j}");
         }
-        assert!(j.contains("\"speedup_drop_4t_vs_naive\""));
     }
 
     #[test]

@@ -814,15 +814,21 @@ mod tests {
         use std::sync::Barrier;
 
         let cache = ArtifactCache::new();
+        // `entered` makes the failing thread the leader before the
+        // waiter exists; otherwise the waiter could lead, and the
+        // failing thread would hit and never reach `release`.
+        let entered = Barrier::new(2);
         let release = Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
                 let r = cache.facts.get_or_try(5, || {
+                    entered.wait();
                     release.wait();
                     Err::<SgraphFacts, _>("boom".to_string())
                 });
                 assert!(r.is_err());
             });
+            entered.wait();
             let waiter = s.spawn(|| {
                 cache
                     .facts
@@ -852,6 +858,10 @@ mod tests {
         use std::sync::Barrier;
 
         let cache = ArtifactCache::new();
+        // `entered` makes the panicking thread the leader before the
+        // waiter exists; otherwise the waiter could lead, and the
+        // panicking thread would hit and never reach `release`.
+        let entered = Barrier::new(2);
         let release = Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -859,12 +869,14 @@ mod tests {
                     cache
                         .facts
                         .get_or_try(6, || -> Result<SgraphFacts, String> {
+                            entered.wait();
                             release.wait();
                             panic!("injected")
                         })
                 }));
                 assert!(r.is_err());
             });
+            entered.wait();
             let waiter = s.spawn(|| {
                 cache
                     .facts

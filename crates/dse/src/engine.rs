@@ -729,8 +729,11 @@ fn grading_event(p: Point, stats: &hlstb::netlist::stats::GradeStats) {
 ///   flag), so every strategy that leaves identical marks (all four
 ///   no-scan strategies: none, both BISTs, k-level points) shares one
 ///   expansion;
-/// * grading run — the netlist key; evaluated once at the sweep's
-///   deepest budget, read as a prefix for shallower ones.
+/// * grading run — the netlist key + the sweep's deepest budget, at
+///   which it is evaluated once and read as a prefix for shallower
+///   ones. The depth is part of the key because a cache shared across
+///   sweeps (the serve daemon's) must not serve a shallower run to a
+///   deeper sweep.
 fn eval_cached(
     spec: &SweepSpec,
     design_keys: &[u64],
@@ -784,7 +787,8 @@ fn eval_cached(
     stage_event(p, "netlist", Some(nl_hit), t.elapsed());
     let (coverage_percent, timed_out) = if p.patterns > 0 {
         let t = Instant::now();
-        let (run, grading_hit) = cache.grading.get_or_try(nl_key, || {
+        let grading_key = key::combine(&[nl_key, max_patterns as u64]);
+        let (run, grading_hit) = cache.grading.get_or_try(grading_key, || {
             let faults = collapsed_faults(&expanded.netlist);
             let mut rng = StdRng::seed_from_u64(SWEEP_SEED);
             let (run, gstats) = random_pattern_run_opts(
@@ -1034,6 +1038,36 @@ mod tests {
         // Dropping the request drops the payloads.
         let without = run_sweep(&spec, &SweepOptions::default());
         assert!(without.designs.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn shared_cache_never_serves_a_shallower_grading_run() {
+        // A daemon-lifetime cache sees a 64-pattern sweep and then a
+        // 1024-pattern sweep of the same netlists; the deeper sweep
+        // must report what it would have computed on its own.
+        let mut shallow = SweepSpec::new(vec![benchmarks::diffeq(), benchmarks::ewf()]);
+        shallow.strategies = vec![DftStrategy::FullScan];
+        shallow.widths = vec![8];
+        shallow.patterns = vec![64];
+        let mut deep = shallow.clone();
+        deep.patterns = vec![1024];
+        let opts = SweepOptions::default();
+        let cache = Arc::new(ArtifactCache::new());
+        let eval_all = |spec: &SweepSpec| {
+            let runner = PointRunner::with_cache(spec, &opts, None, Arc::clone(&cache));
+            (0..runner.len())
+                .map(|i| runner.eval(i).0.outcome.expect("point ok"))
+                .collect::<Vec<_>>()
+        };
+        let first = eval_all(&shallow);
+        let got = eval_all(&deep);
+        let fresh = run_sweep(&deep, &opts);
+        for (i, (g, f)) in got.iter().zip(&fresh.report.points).enumerate() {
+            let f = f.outcome.as_ref().expect("point ok");
+            assert_eq!(g, f, "point {i}");
+            // Guard: the two depths really differ, or the check is moot.
+            assert_ne!(first[i].coverage_percent, f.coverage_percent, "point {i}");
+        }
     }
 
     #[test]

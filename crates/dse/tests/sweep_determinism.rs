@@ -5,7 +5,7 @@
 //! point's metrics.
 
 use hlstb::cdfg::{benchmarks, Cdfg};
-use hlstb::flow::{DftStrategy, RegisterPolicy, Scheduler};
+use hlstb::flow::{DftStrategy, RegisterPolicy, Scheduler, SynthesisFlow};
 use hlstb_dse::{run_sweep, run_sweep_with, FailMode, FailPlan, Recovery, SweepOptions, SweepSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -154,5 +154,31 @@ fn cache_hits_never_change_a_points_report() {
             "strategy {} at {} patterns",
             point.strategy, point.patterns
         );
+    }
+}
+
+/// The netlist stage key hashes the marked data path's `Debug`
+/// rendering, so building the same (design, strategy) twice must give
+/// the same data path, rendering included — otherwise identical points
+/// miss the cache at random.
+#[test]
+fn data_path_builds_are_deterministic() {
+    for design in benchmarks::all() {
+        for strategy in hlstb_dse::spec::strategy_catalogue() {
+            let flow = SynthesisFlow::new(design.clone()).strategy(strategy);
+            let build = || {
+                let mut fe = flow.front_end().expect("built-ins synthesize");
+                flow.apply_dft(&mut fe);
+                fe.datapath
+            };
+            let (a, b) = (build(), build());
+            assert_eq!(a, b, "{} {strategy:?}", design.name());
+            assert_eq!(
+                hlstb_dse::key::hash_debug(&a),
+                hlstb_dse::key::hash_debug(&b),
+                "{} {strategy:?}",
+                design.name()
+            );
+        }
     }
 }

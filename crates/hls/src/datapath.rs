@@ -375,6 +375,10 @@ impl Datapath {
             }
         }
 
+        // `delays` is a hash map, so its iteration order varies between
+        // builds; sorting keeps the data path (and every key hashed
+        // from its `Debug` rendering) deterministic.
+        copy_edges.sort_unstable();
         op_edges.sort_unstable();
         op_edges.dedup();
 

@@ -25,27 +25,9 @@
 //! * **fault dropping** — once detected, a fault's remaining frames
 //!   are skipped (detection is monotone in the frame set).
 //!
-//! With `threads > 1` the fault universe is sharded contiguously
-//! across `std::thread::scope` workers. Shards are disjoint and each
-//! fault's verdict depends only on the shared good-machine trace, so
-//! the merged result is bit-identical to the serial one regardless of
-//! scheduling — the default options keep the engine serial anyway.
-//!
-//! ## The small-universe gate
-//!
-//! Spawning workers is not free: each worker pays the thread-spawn
-//! cost and rebuilds its own cone cache, so for small fault universes
-//! the sharded engine is *slower* than the serial one (the original
-//! `BENCH_fsim.json` showed drop-2t/drop-4t behind serial drop on
-//! every benchmark design, all of which collapse to under ~2k faults).
-//! [`ParallelOptions::min_faults_per_thread`] gates the shard count:
-//! the engine uses at most `faults / min_faults_per_thread` workers
-//! (never fewer than one), falling back to the serial path when the
-//! universe cannot feed every worker at least that many faults. The
-//! gate changes only the schedule, never the detected set, and the
-//! *effective* worker count is what [`GradeStats::threads`] records.
-//! Set the field to `0` to disable the gate (tests and measurements
-//! that must exercise the sharded path do this).
+//! Every engine grades the fault universe in one serial loop; callers
+//! that want parallelism run independent grading calls side by side
+//! (the sweep engine's point pool does).
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -140,25 +122,16 @@ pub enum SimEngine {
     Soa,
 }
 
-/// Options for the grading engine. The default — one thread, fault
-/// dropping on, the reference engine at 64-pattern words — reproduces
-/// the historical serial behavior and results.
+/// Options for the grading engine. The default — fault dropping on,
+/// the reference engine at 64-pattern words — reproduces the historical
+/// behavior and results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelOptions {
-    /// Worker threads for the faulty-machine phase; `1` grades in place
-    /// without spawning.
-    pub threads: usize,
     /// Skip a fault's remaining frames (combinational) or cycles
     /// (sequential) once it is detected. Detection is monotone, so this
     /// changes only the work done, never the detected set.
     pub drop_detected: bool,
-    /// Minimum faults each worker shard must receive before the engine
-    /// spawns threads at all (see the module-level *small-universe
-    /// gate*). `0` disables the gate. The default,
-    /// [`DEFAULT_MIN_FAULTS_PER_THREAD`], keeps every benchmark-sized
-    /// universe on the serial path, where it is measurably faster.
-    pub min_faults_per_thread: usize,
-    /// Cooperative wall-clock cutoff. Shard loops poll it every
+    /// Cooperative wall-clock cutoff. Grading loops poll it every
     /// [`deadline_poll_stride`] faults and stop early with
     /// [`GradeStats::timed_out`] set; the default never expires.
     pub deadline: Deadline,
@@ -170,8 +143,8 @@ pub struct ParallelOptions {
     pub word_width: WordWidth,
 }
 
-/// How many faults a shard grades between deadline polls at the
-/// historical one-lane width: often enough that an expired budget stops
+/// How many faults are graded between deadline polls at the historical
+/// one-lane width: often enough that an expired budget stops
 /// work promptly, rarely enough that the `Instant::now` syscall is
 /// invisible in the profile. Wider words poll at the scaled
 /// [`deadline_poll_stride`] instead.
@@ -186,7 +159,7 @@ pub const DEADLINE_POLL_STRIDE: usize = 64;
 /// worth of evaluation per fault chunk, so the fault stride shrinks by
 /// `L` to keep the work between polls — and therefore the worst-case
 /// overshoot past an expired deadline — roughly constant across widths.
-/// The stride never drops below one fault, and shard loops still skip
+/// The stride never drops below one fault, and grading loops still skip
 /// the poll before the first stride, so a zero-budget run always grades
 /// exactly one stride's worth of faults: deterministic at every width,
 /// with [`GradeStats::timed_out`] set the same way.
@@ -194,17 +167,10 @@ pub fn deadline_poll_stride(lanes: usize) -> usize {
     (DEADLINE_POLL_STRIDE / lanes.max(1)).max(1)
 }
 
-/// Default for [`ParallelOptions::min_faults_per_thread`]: below ~4k
-/// faults per worker, thread-spawn cost and per-worker cone-cache
-/// duplication outweigh the parallel win on every design we measure.
-pub const DEFAULT_MIN_FAULTS_PER_THREAD: usize = 4096;
-
 impl Default for ParallelOptions {
     fn default() -> Self {
         ParallelOptions {
-            threads: 1,
             drop_detected: true,
-            min_faults_per_thread: DEFAULT_MIN_FAULTS_PER_THREAD,
             deadline: Deadline::none(),
             engine: SimEngine::Reference,
             word_width: WordWidth::W64,
@@ -213,12 +179,7 @@ impl Default for ParallelOptions {
 }
 
 impl ParallelOptions {
-    /// The serial engine (the default).
-    pub fn serial() -> Self {
-        ParallelOptions::default()
-    }
-
-    /// The serial SoA engine at the given pattern-word width.
+    /// The SoA engine at the given pattern-word width.
     pub fn soa(width: WordWidth) -> Self {
         ParallelOptions {
             engine: SimEngine::Soa,
@@ -227,36 +188,10 @@ impl ParallelOptions {
         }
     }
 
-    /// An `n`-thread engine with fault dropping and the default
-    /// small-universe gate.
-    pub fn with_threads(n: usize) -> Self {
-        ParallelOptions {
-            threads: n.max(1),
-            ..ParallelOptions::default()
-        }
-    }
-
-    /// An `n`-thread engine with the small-universe gate disabled —
-    /// for tests and measurements that must exercise the sharded path
-    /// regardless of universe size.
-    pub fn with_threads_ungated(n: usize) -> Self {
-        ParallelOptions {
-            threads: n.max(1),
-            min_faults_per_thread: 0,
-            ..ParallelOptions::default()
-        }
-    }
-
-    /// Worker threads the engine will actually use for a universe of
-    /// `faults` faults: the requested count, capped by the universe
-    /// size and by the small-universe gate. This is the value recorded
-    /// in [`GradeStats::threads`].
-    pub fn effective_threads(&self, faults: usize) -> usize {
-        let mut t = self.threads.max(1).min(faults.max(1));
-        if let Some(full_shards) = faults.checked_div(self.min_faults_per_thread) {
-            t = t.min(full_shards.max(1));
-        }
-        t
+    /// The default options; `n` is ignored. Kept only because the
+    /// frozen benchmark harness (`perfbench/src/synth.rs`) calls it.
+    pub fn with_threads(_n: usize) -> Self {
+        ParallelOptions::default()
     }
 }
 
@@ -328,7 +263,7 @@ pub fn comb_fault_sim_observed_opts(
     }
     // Good-machine phase: one reference evaluation per frame, plus the
     // engine's structural tables (fanout, topo positions, observation
-    // marks). All of it is shared read-only by the workers.
+    // marks).
     let good_span = hlstb_trace::span("fsim.good");
     let good_start = Instant::now();
     let masks: Vec<u64> = frames.iter().map(|f| f.mask).collect();
@@ -349,74 +284,17 @@ pub fn comb_fault_sim_observed_opts(
 
     let fault_span = hlstb_trace::span("fsim.fault");
     let fault_start = Instant::now();
-    let threads = opts.effective_threads(faults.len());
-    let drop_detected = opts.drop_detected;
-    let deadline = opts.deadline;
-    let (detected, mut stats) = if threads == 1 {
-        grade_comb_shard(nl, &engine, &goods, &masks, faults, drop_detected, deadline)
-    } else {
-        let chunk = faults.len().div_ceil(threads);
-        let mut merged = BTreeSet::new();
-        let mut counts = GradeStats::default();
-        std::thread::scope(|scope| {
-            let engine = &engine;
-            let goods = &goods;
-            let masks = &masks;
-            let handles: Vec<_> = faults
-                .chunks(chunk)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        grade_comb_shard(nl, engine, goods, masks, shard, drop_detected, deadline)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (shard_detected, shard_counts) =
-                    handle.join().expect("grading worker panicked");
-                merged.extend(shard_detected);
-                counts.merge_counts(&shard_counts);
-            }
-        });
-        (merged, counts)
-    };
-    stats.faults = faults.len();
-    stats.frames = frames.len();
-    stats.threads = threads;
-    stats.wall_good = wall_good;
-    stats.wall_fault = fault_start.elapsed();
-    fault_span.end();
-    stats.trace_bridge();
-    (
-        FaultSimSummary {
-            detected,
-            total: faults.len(),
-        },
-        stats,
-    )
-}
-
-/// Grades one contiguous fault shard against the shared good trace.
-#[allow(clippy::too_many_arguments)]
-fn grade_comb_shard(
-    nl: &Netlist,
-    engine: &ConeEngine,
-    goods: &[Vec<u64>],
-    masks: &[u64],
-    shard: &[Fault],
-    drop_detected: bool,
-    deadline: Deadline,
-) -> (BTreeSet<Fault>, GradeStats) {
     let mut detected = BTreeSet::new();
     let mut stats = GradeStats::default();
     let mut scratch = Scratch::new(nl.num_gates());
     // Both polarities of a net share its cone; universes list them
     // adjacently, so caching the last cone removes half the builds.
     let mut cached: Option<(NetId, Cone)> = None;
-    for (fault_idx, &fault) in shard.iter().enumerate() {
+    for (fault_idx, &fault) in faults.iter().enumerate() {
         // Cooperative cutoff: stop between faults, so every counter and
         // the detected set stay consistent. At least one fault is
         // always graded, which keeps zero-budget runs deterministic.
-        if fault_idx > 0 && fault_idx % DEADLINE_POLL_STRIDE == 0 && deadline.expired() {
+        if fault_idx > 0 && fault_idx % DEADLINE_POLL_STRIDE == 0 && opts.deadline.expired() {
             stats.timed_out = true;
             break;
         }
@@ -431,7 +309,7 @@ fn grade_comb_shard(
         let stuck = if fault.stuck_at_one { u64::MAX } else { 0 };
         let mut hit = false;
         for (fi, good) in goods.iter().enumerate() {
-            if hit && drop_detected {
+            if hit && opts.drop_detected {
                 stats.dropped += (goods.len() - fi) as u64;
                 break;
             }
@@ -452,10 +330,22 @@ fn grade_comb_shard(
             detected.insert(fault);
         }
     }
-    (detected, stats)
+    stats.faults = faults.len();
+    stats.frames = frames.len();
+    stats.wall_good = wall_good;
+    stats.wall_fault = fault_start.elapsed();
+    fault_span.end();
+    stats.trace_bridge();
+    (
+        FaultSimSummary {
+            detected,
+            total: faults.len(),
+        },
+        stats,
+    )
 }
 
-/// Structural tables shared by all grading workers.
+/// Structural tables of the cone engine.
 struct ConeEngine {
     /// Net index → combinational gates reading it.
     fanout: Vec<Vec<u32>>,
@@ -475,7 +365,7 @@ struct Cone {
     obs: Vec<u32>,
 }
 
-/// Per-worker reusable buffers: an epoch-stamped value overlay for the
+/// Reusable grading buffers: an epoch-stamped value overlay for the
 /// faulty machine (nets outside the stamp read through to the good
 /// values) and a visited stamp for cone construction.
 struct Scratch {
@@ -682,8 +572,7 @@ pub fn seq_fault_sim_observed(
 /// instrumentation.
 ///
 /// The faulty machine replays the whole sequence per fault (state
-/// feedback defeats per-frame cone restriction), but the fault universe
-/// shards across threads exactly like the combinational engine.
+/// feedback defeats per-frame cone restriction).
 pub fn seq_fault_sim_observed_opts(
     nl: &Netlist,
     faults: &[Fault],
@@ -725,69 +614,41 @@ pub fn seq_fault_sim_observed_masked_opts(
 
     let fault_span = hlstb_trace::span("fsim.fault");
     let fault_start = Instant::now();
-    let threads = opts.effective_threads(faults.len());
-    let drop_detected = opts.drop_detected;
-    let deadline = opts.deadline;
-    let run_shard = |shard: &[Fault]| -> (BTreeSet<Fault>, GradeStats) {
-        let mut detected = BTreeSet::new();
-        let mut stats = GradeStats::default();
-        for (fault_idx, &fault) in shard.iter().enumerate() {
-            if fault_idx > 0 && fault_idx % DEADLINE_POLL_STRIDE == 0 && deadline.expired() {
-                stats.timed_out = true;
+    let mut detected = BTreeSet::new();
+    let mut stats = GradeStats::default();
+    for (fault_idx, &fault) in faults.iter().enumerate() {
+        if fault_idx > 0 && fault_idx % DEADLINE_POLL_STRIDE == 0 && opts.deadline.expired() {
+            stats.timed_out = true;
+            break;
+        }
+        let mut ff = initial.to_vec();
+        pin_state(nl, fault, &mut ff);
+        let mut hit = false;
+        for (t, v) in vectors.iter().enumerate() {
+            if hit && opts.drop_detected {
+                stats.dropped += (vectors.len() - t) as u64;
                 break;
             }
-            let mut ff = initial.to_vec();
+            stats.fault_evals += 1;
+            let values = eval_comb(nl, v, &ff, Some(forced(fault)));
+            if !hit {
+                let differs = obs
+                    .iter()
+                    .zip(&good_trace[t])
+                    .any(|(&i, &g)| (values[i] ^ g) & lane_mask != 0);
+                if differs {
+                    hit = true;
+                }
+            }
+            ff = next_state(nl, &values);
             pin_state(nl, fault, &mut ff);
-            let mut hit = false;
-            for (t, v) in vectors.iter().enumerate() {
-                if hit && drop_detected {
-                    stats.dropped += (vectors.len() - t) as u64;
-                    break;
-                }
-                stats.fault_evals += 1;
-                let values = eval_comb(nl, v, &ff, Some(forced(fault)));
-                if !hit {
-                    let differs = obs
-                        .iter()
-                        .zip(&good_trace[t])
-                        .any(|(&i, &g)| (values[i] ^ g) & lane_mask != 0);
-                    if differs {
-                        hit = true;
-                    }
-                }
-                ff = next_state(nl, &values);
-                pin_state(nl, fault, &mut ff);
-            }
-            if hit {
-                detected.insert(fault);
-            }
         }
-        (detected, stats)
-    };
-    let (detected, mut stats) = if threads == 1 {
-        run_shard(faults)
-    } else {
-        let chunk = faults.len().div_ceil(threads);
-        let mut merged = BTreeSet::new();
-        let mut counts = GradeStats::default();
-        std::thread::scope(|scope| {
-            let run_shard = &run_shard;
-            let handles: Vec<_> = faults
-                .chunks(chunk)
-                .map(|shard| scope.spawn(move || run_shard(shard)))
-                .collect();
-            for handle in handles {
-                let (shard_detected, shard_counts) =
-                    handle.join().expect("grading worker panicked");
-                merged.extend(shard_detected);
-                counts.merge_counts(&shard_counts);
-            }
-        });
-        (merged, counts)
-    };
+        if hit {
+            detected.insert(fault);
+        }
+    }
     stats.faults = faults.len();
     stats.frames = vectors.len();
-    stats.threads = threads;
     stats.wall_good = wall_good;
     stats.wall_fault = fault_start.elapsed();
     fault_span.end();
@@ -950,20 +811,15 @@ mod tests {
         let faults = all_faults(&nl);
         let frames = some_frames();
         let baseline = comb_fault_sim(&nl, &faults, &frames);
-        for threads in [1, 2, 4] {
-            for drop_detected in [false, true] {
-                // Gate disabled: the point is to exercise the sharded
-                // path even on this tiny universe.
-                let opts = ParallelOptions {
-                    threads,
-                    drop_detected,
-                    ..ParallelOptions::with_threads_ungated(1)
-                };
-                let (r, stats) = comb_fault_sim_opts(&nl, &faults, &frames, &opts);
-                assert_eq!(r, baseline, "threads={threads} drop={drop_detected}");
-                assert_eq!(stats.faults, faults.len());
-                assert_eq!(stats.frames, frames.len());
-            }
+        for drop_detected in [false, true] {
+            let opts = ParallelOptions {
+                drop_detected,
+                ..ParallelOptions::default()
+            };
+            let (r, stats) = comb_fault_sim_opts(&nl, &faults, &frames, &opts);
+            assert_eq!(r, baseline, "drop={drop_detected}");
+            assert_eq!(stats.faults, faults.len());
+            assert_eq!(stats.frames, frames.len());
         }
     }
 
@@ -1008,14 +864,13 @@ mod tests {
             })
             .collect();
         let baseline = seq_fault_sim(&nl, &faults, &vectors);
-        for threads in [1, 3] {
+        for drop_detected in [false, true] {
             let opts = ParallelOptions {
-                threads,
-                drop_detected: true,
-                ..ParallelOptions::with_threads_ungated(1)
+                drop_detected,
+                ..ParallelOptions::default()
             };
             let (r, _) = seq_fault_sim_opts(&nl, &faults, &vectors, &opts);
-            assert_eq!(r, baseline, "threads={threads}");
+            assert_eq!(r, baseline, "drop={drop_detected}");
         }
     }
 

@@ -382,7 +382,7 @@ mod tests {
             &faults,
             256,
             &mut StdRng::seed_from_u64(5),
-            &ParallelOptions::with_threads_ungated(2),
+            &ParallelOptions::default(),
         );
         assert_eq!(plain.curve, opted.curve);
         assert_eq!(plain.summary, opted.summary);

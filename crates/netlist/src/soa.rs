@@ -36,7 +36,6 @@
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use crate::deadline::Deadline;
 use crate::fault::Fault;
 use crate::fsim::{deadline_poll_stride, FaultSimSummary, ParallelOptions, TestFrame};
 use crate::net::{GateKind, NetId, Netlist, SoaIr};
@@ -46,7 +45,7 @@ use crate::word::{self, PatternWord, WordWidth};
 /// Marker for nets that are stems (no unique forward path).
 const STEM: u32 = u32::MAX;
 
-/// Observation tables shared read-only by every grading worker.
+/// Observation tables for one grading call.
 struct ObsTables {
     /// Net index → is an observation point.
     mark: Vec<bool>,
@@ -133,7 +132,7 @@ impl ObsTables {
     }
 }
 
-/// Per-worker reusable state: an epoch-marked faulty-value overlay
+/// Reusable grading state: an epoch-marked faulty-value overlay
 /// (unmarked nets read through to the good values), one worklist bucket
 /// per level, and the per-chunk stem-observability memo. One `mark`
 /// word per net carries both scheduling states — `2 * epoch` once
@@ -145,8 +144,8 @@ struct EventScratch<const N: usize> {
     epoch: u64,
     buckets: Vec<Vec<u32>>,
     /// Stem → observability word, valid when `stem_stamp[stem]` equals
-    /// the current chunk index + 1. Shared by every fault in the shard
-    /// that funnels into the stem, for either stuck-at polarity.
+    /// the current chunk index + 1. Shared by every fault that funnels
+    /// into the stem, for either stuck-at polarity.
     stem_obs: Vec<PatternWord<N>>,
     stem_stamp: Vec<u64>,
 }
@@ -338,8 +337,7 @@ fn stem_flip_obs<const N: usize>(
     obs_word
 }
 
-/// The wide good-machine trace plus per-chunk bookkeeping, shared
-/// read-only by the workers.
+/// The wide good-machine trace plus per-chunk bookkeeping.
 struct WideTrace<const N: usize> {
     /// Chunk-major good values: `goods[c * nets + net]`.
     goods: Vec<PatternWord<N>>,
@@ -402,25 +400,24 @@ impl<const N: usize> WideTrace<N> {
     }
 }
 
-/// Grades one contiguous fault shard against the shared wide trace.
-fn grade_shard<const N: usize>(
+/// Grades `faults` against the wide good-machine trace.
+fn grade_faults<const N: usize>(
     soa: &SoaIr,
     obs: &ObsTables,
     trace: &WideTrace<N>,
-    shard: &[Fault],
-    drop_detected: bool,
-    deadline: Deadline,
+    faults: &[Fault],
+    opts: &ParallelOptions,
 ) -> (BTreeSet<Fault>, GradeStats) {
     let mut detected = BTreeSet::new();
     let mut stats = GradeStats::default();
     let mut scratch = EventScratch::<N>::new(trace.nets, soa.level_count().max(1));
     let stride = deadline_poll_stride(N);
     let zero: PatternWord<N> = word::zeros();
-    for (fault_idx, &fault) in shard.iter().enumerate() {
+    for (fault_idx, &fault) in faults.iter().enumerate() {
         // Cooperative cutoff between faults, at the width-scaled
         // stride; the first stride always grades, which keeps
         // zero-budget runs deterministic.
-        if fault_idx > 0 && fault_idx % stride == 0 && deadline.expired() {
+        if fault_idx > 0 && fault_idx % stride == 0 && opts.deadline.expired() {
             stats.timed_out = true;
             break;
         }
@@ -433,7 +430,7 @@ fn grade_shard<const N: usize>(
         let stuck_word: PatternWord<N> = word::splat(fault.stuck_at_one);
         let mut hit = false;
         for c in 0..trace.chunks() {
-            if hit && drop_detected {
+            if hit && opts.drop_detected {
                 stats.dropped += trace.active[c..].iter().sum::<usize>() as u64;
                 break;
             }
@@ -512,38 +509,9 @@ fn run<const N: usize>(
 
     let fault_span = hlstb_trace::span("fsim.fault");
     let fault_start = Instant::now();
-    let soa = nl.soa();
-    let threads = opts.effective_threads(faults.len());
-    let drop_detected = opts.drop_detected;
-    let deadline = opts.deadline;
-    let (detected, mut stats) = if threads == 1 {
-        grade_shard(soa, &obs, &trace, faults, drop_detected, deadline)
-    } else {
-        let chunk = faults.len().div_ceil(threads);
-        let mut merged = BTreeSet::new();
-        let mut counts = GradeStats::default();
-        std::thread::scope(|scope| {
-            let obs = &obs;
-            let trace = &trace;
-            let handles: Vec<_> = faults
-                .chunks(chunk)
-                .map(|shard| {
-                    scope
-                        .spawn(move || grade_shard(soa, obs, trace, shard, drop_detected, deadline))
-                })
-                .collect();
-            for handle in handles {
-                let (shard_detected, shard_counts) =
-                    handle.join().expect("grading worker panicked");
-                merged.extend(shard_detected);
-                counts.merge_counts(&shard_counts);
-            }
-        });
-        (merged, counts)
-    };
+    let (detected, mut stats) = grade_faults(nl.soa(), &obs, &trace, faults, opts);
     stats.faults = faults.len();
     stats.frames = frames.len();
-    stats.threads = threads;
     stats.wall_good = wall_good;
     stats.wall_fault = fault_start.elapsed();
     fault_span.end();

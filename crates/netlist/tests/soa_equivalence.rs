@@ -148,25 +148,3 @@ proptest! {
         }
     }
 }
-
-/// Threading the SoA engine never changes the result either.
-#[test]
-fn soa_sharding_is_deterministic() {
-    let mut rng = StdRng::seed_from_u64(1996);
-    let nl = random_combinational(6, 64, 3, &mut rng);
-    let faults = all_faults(&nl);
-    let frames = frames_for(&nl, 8, &mut rng);
-    let (reference, _) = comb_fault_sim_opts(&nl, &faults, &frames, &ParallelOptions::default());
-    for width in WordWidth::ALL {
-        for threads in [1, 2, 4] {
-            let opts = ParallelOptions {
-                threads,
-                min_faults_per_thread: 0,
-                ..soa_opts(width)
-            };
-            let (soa, stats) = comb_fault_sim_opts(&nl, &faults, &frames, &opts);
-            assert_eq!(soa, reference, "width {width} threads {threads}");
-            assert_eq!(stats.threads, threads.min(faults.len()));
-        }
-    }
-}

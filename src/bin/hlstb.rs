@@ -91,7 +91,6 @@ options:
   --width     data-path width in bits (default 4)
   --grade     (synth) grade the netlist with N pseudorandom patterns
   --atpg      (synth) deterministic ATPG top-up on the residual faults
-  --threads   (synth) worker threads for the grading engine (default 1)
   --json      (synth) print the report as JSON instead of text
   --trace <file>          write a Chrome trace (chrome://tracing, Perfetto)
   --trace-metrics <file>  write flat span/counter metrics as JSON
@@ -316,11 +315,6 @@ fn run(args: &[String]) -> Result<(), String> {
                         value
                             .parse()
                             .map_err(|_| format!("bad pattern count {value}"))?,
-                    ),
-                    "--threads" => flow.grade_threads(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad thread count {value}"))?,
                     ),
                     "--trace" => {
                         trace.trace_path = Some(value.clone());

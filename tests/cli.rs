@@ -68,11 +68,13 @@ fn synth_grade_reports_coverage() {
         "full-scan",
         "--grade",
         "128",
-        "--threads",
-        "2",
     ]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("fault grading"), "{stdout}");
+    // Grading has no thread knob: the flag is rejected, not ignored.
+    let (_, stderr, ok) = run(&["synth", "figure1", "--grade", "64", "--threads", "2"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown option --threads"), "{stderr}");
     let (json_out, _, ok) = run(&[
         "synth",
         "figure1",
