@@ -1,6 +1,7 @@
 //! E21 — grading-engine benchmark: fault dropping and the SoA engine on
-//! the nine-design random-pattern sweep. Prints the table and writes
-//! `BENCH_fsim.json` next to the working directory for perf tracking.
+//! the nine-design random-pattern sweep, plus the PODEM shared-context
+//! headline. Prints the tables and writes `BENCH_fsim.json` next to the
+//! working directory for perf tracking.
 
 fn main() {
     hlstb_bench::tracehook::init();
@@ -21,6 +22,11 @@ fn main() {
     println!(
         "soa-512 vs drop (the committed headline): {:.2}x",
         sweep.speedup_over("drop", "soa-512")
+    );
+    print!("{}", sweep.atpg_table());
+    println!(
+        "PODEM shared context vs standalone podem() (the committed headline): {:.2}x",
+        sweep.atpg_speedup()
     );
     let path = "BENCH_fsim.json";
     std::fs::write(path, sweep.to_json()).expect("write BENCH_fsim.json");

@@ -10,12 +10,14 @@
 //! faulty evaluation to the fault's output cone, and the SoA
 //! configurations grade stem regions over wide pattern words.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hlstb::cdfg::benchmarks;
 use hlstb::flow::{DftStrategy, SynthesisFlow};
-use hlstb::netlist::fault::collapsed_faults;
+use hlstb::netlist::atpg::{generate_all, podem, AtpgOptions, CombView, Effort};
+use hlstb::netlist::fault::{collapsed_faults, Fault};
 use hlstb::netlist::fsim::{comb_fault_sim_opts, ParallelOptions, TestFrame};
+use hlstb::netlist::random::random_pattern_run_opts;
 use hlstb::netlist::stats::GradeStats;
 use hlstb::netlist::word::WordWidth;
 use hlstb_cdfg::Cdfg;
@@ -66,6 +68,102 @@ pub struct FsimSweep {
     pub patterns: usize,
     /// One entry per (design, configuration) pair, design-major.
     pub runs: Vec<EngineRun>,
+    /// The ATPG headline, one entry per design.
+    pub atpg: Vec<AtpgTiming>,
+}
+
+/// PODEM on one design's `synth --grade 1024 --atpg` residual: the
+/// shared-context [`generate_all`] against a loop of standalone
+/// [`podem`] calls, each building its own context, over the same
+/// targets.
+#[derive(Debug, Clone)]
+pub struct AtpgTiming {
+    /// Design name.
+    pub design: String,
+    /// Faults the random patterns left for PODEM.
+    pub targets: usize,
+    /// PODEM decisions — identical on both sides.
+    pub decisions: u64,
+    /// Best-of-three wall time of `generate_all`.
+    pub shared: Duration,
+    /// Best-of-three wall time of the standalone loop.
+    pub standalone: Duration,
+}
+
+/// Datapath width of the ATPG headline (the `synth-atpg` benchmark's).
+const ATPG_WIDTH: u32 = 8;
+/// Random patterns graded before the ATPG top-up.
+const ATPG_PATTERNS: usize = 1024;
+/// The flow's grading seed.
+const ATPG_SEED: u64 = 0xDAC_1996;
+/// Timed repetitions per side; the minimum is kept.
+const ATPG_REPEATS: usize = 3;
+
+/// The minimum wall time of [`ATPG_REPEATS`] calls of `once`, with the
+/// last call's result.
+fn best_of<T>(mut once: impl FnMut() -> T) -> (Duration, T) {
+    let mut wall = Duration::MAX;
+    let mut last = None;
+    for _ in 0..ATPG_REPEATS {
+        let start = Instant::now();
+        last = Some(once());
+        wall = wall.min(start.elapsed());
+    }
+    (wall, last.expect("ATPG_REPEATS is positive"))
+}
+
+/// Times [`generate_all`] against standalone [`podem`] calls on the
+/// full-scan netlist of `g` at [`ATPG_WIDTH`], targeting what
+/// [`ATPG_PATTERNS`] random patterns leave undetected.
+///
+/// # Panics
+///
+/// Panics if the two sides disagree on the search effort: they must do
+/// the same work for the ratio to mean anything.
+fn atpg_timing(g: &Cdfg) -> AtpgTiming {
+    let d = SynthesisFlow::new(g.clone())
+        .strategy(DftStrategy::FullScan)
+        .width(ATPG_WIDTH)
+        .run()
+        .expect("benchmark designs synthesize");
+    let nl = &d.expanded.netlist;
+    let faults = collapsed_faults(nl);
+    let mut rng = StdRng::seed_from_u64(ATPG_SEED);
+    let (graded, _) = random_pattern_run_opts(
+        nl,
+        &faults,
+        ATPG_PATTERNS,
+        &mut rng,
+        &ParallelOptions::default(),
+    );
+    let residual: Vec<Fault> = faults
+        .iter()
+        .filter(|f| !graded.summary.detected.contains(f))
+        .copied()
+        .collect();
+    let options = AtpgOptions::default();
+    let (shared, shared_effort) = best_of(|| generate_all(nl, &residual, &options).effort);
+    let view = CombView::functional(nl);
+    let (standalone, standalone_effort) = best_of(|| {
+        let mut effort = Effort::default();
+        for f in &residual {
+            effort.absorb(podem(nl, &view, &[f.net], f.stuck_at_one, &options).1);
+        }
+        effort
+    });
+    assert_eq!(
+        shared_effort,
+        standalone_effort,
+        "{}: the ATPG sides did different work",
+        g.name()
+    );
+    AtpgTiming {
+        design: g.name().to_string(),
+        targets: residual.len(),
+        decisions: shared_effort.decisions,
+        shared,
+        standalone,
+    }
 }
 
 /// Grades the full nine-design suite. `patterns` is rounded up to a
@@ -117,7 +215,12 @@ pub fn sweep_designs(designs: &[Cdfg], patterns: usize) -> FsimSweep {
             });
         }
     }
-    FsimSweep { patterns, runs }
+    let atpg = designs.iter().map(atpg_timing).collect();
+    FsimSweep {
+        patterns,
+        runs,
+        atpg,
+    }
 }
 
 impl FsimSweep {
@@ -147,6 +250,44 @@ impl FsimSweep {
         } else {
             f64::INFINITY
         }
+    }
+
+    /// Whole-suite speedup of the shared-context `generate_all` over
+    /// standalone `podem()` calls.
+    pub fn atpg_speedup(&self) -> f64 {
+        let total = |f: fn(&AtpgTiming) -> Duration| {
+            self.atpg.iter().map(f).sum::<Duration>().as_secs_f64()
+        };
+        let shared = total(|r| r.shared);
+        if shared > 0.0 {
+            total(|r| r.standalone) / shared
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// One row per design for the ATPG headline.
+    pub fn atpg_table(&self) -> Table {
+        let mut t = Table::new(
+            "E21b  PODEM: one shared context vs a fresh context per target",
+            &[
+                "design",
+                "targets",
+                "decisions",
+                "shared ms",
+                "standalone ms",
+            ],
+        );
+        for r in &self.atpg {
+            t.row(vec![
+                r.design.clone(),
+                r.targets.to_string(),
+                r.decisions.to_string(),
+                format!("{:.2}", r.shared.as_secs_f64() * 1e3),
+                format!("{:.2}", r.standalone.as_secs_f64() * 1e3),
+            ]);
+        }
+        t
     }
 
     /// One row per design: coverage plus the fault-phase wall time of
@@ -224,10 +365,16 @@ impl FsimSweep {
             "  \"speedup_soa512_vs_drop\": {:.3},\n",
             self.speedup_over("drop", "soa-512")
         ));
+        out.push_str(&format!(
+            "  \"speedup_atpg_shared_ctx\": {:.3},\n",
+            self.atpg_speedup()
+        ));
         // The committed perf gate: `hlstb perf-diff --floor` fails CI
         // when a headline above drops below its floor. Raise the floor
         // deliberately when the engine changes speed class.
-        out.push_str("  \"floors\": {\"speedup_soa512_vs_drop\": 4.0},\n");
+        out.push_str(
+            "  \"floors\": {\"speedup_soa512_vs_drop\": 4.0, \"speedup_atpg_shared_ctx\": 2.5},\n",
+        );
         out.push_str("  \"runs\": [\n");
         for (i, r) in self.runs.iter().enumerate() {
             let mut phases = Obj::new();
@@ -245,6 +392,20 @@ impl FsimSweep {
                 "    {}{}\n",
                 o.finish(),
                 if i + 1 < self.runs.len() { "," } else { "" }
+            ));
+        }
+        out.push_str("  ],\n  \"atpg\": [\n");
+        for (i, r) in self.atpg.iter().enumerate() {
+            let mut o = Obj::new();
+            o.string("design", &r.design)
+                .number_u64("targets", r.targets as u64)
+                .number_u64("decisions", r.decisions)
+                .raw("shared_ms", &ms(r.shared))
+                .raw("standalone_ms", &ms(r.standalone));
+            out.push_str(&format!(
+                "    {}{}\n",
+                o.finish(),
+                if i + 1 < self.atpg.len() { "," } else { "" }
             ));
         }
         out.push_str("  ]\n}");
@@ -292,6 +453,21 @@ mod tests {
         for (name, _) in configs() {
             assert!(j.contains(&format!("\"config\": \"{name}\"")), "{j}");
         }
+        let v = hlstb::trace::json::parse(&j).expect("sweep JSON parses");
+        let floors = v.get("floors").expect("floors");
+        for headline in ["speedup_soa512_vs_drop", "speedup_atpg_shared_ctx"] {
+            assert!(
+                v.get(headline).and_then(|x| x.as_f64()).is_some(),
+                "{headline}"
+            );
+            assert!(floors.get(headline).is_some(), "{headline} floor");
+        }
+        let atpg = v.get("atpg").and_then(|a| a.as_array()).expect("atpg rows");
+        assert_eq!(atpg.len(), 1);
+        assert_eq!(
+            atpg[0].get("design").and_then(|d| d.as_str()),
+            Some("figure1")
+        );
     }
 
     #[test]

@@ -29,7 +29,10 @@ pub struct AtpgSummary {
     pub targeted: usize,
     /// Faults detected by generation or by fault-dropping simulation.
     pub detected: usize,
-    /// Faults proved untestable.
+    /// Faults PODEM found no test for with unscanned flops held at `X`.
+    /// Not a redundancy proof: `full-scan` leaves the controller's state
+    /// flops unscanned, and random grading (which drives every flop)
+    /// can detect such faults.
     pub untestable: usize,
     /// Faults aborted at the backtrack limit.
     pub aborted: usize,

@@ -754,6 +754,10 @@ mod tests {
 
         let cache = ArtifactCache::new();
         let computed = AtomicUsize::new(0);
+        // `entered` makes the first thread the leader before any waiter
+        // exists; otherwise a waiter could lead, and the first thread
+        // would hit and never reach `release`.
+        let entered = Barrier::new(2);
         let release = Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -761,6 +765,7 @@ mod tests {
                     .facts
                     .get_or_try(9, || {
                         computed.fetch_add(1, Ordering::SeqCst);
+                        entered.wait();
                         release.wait();
                         Ok::<_, String>(SgraphFacts {
                             cycles: 3,
@@ -771,6 +776,7 @@ mod tests {
                 assert_eq!(v.cycles, 3);
                 assert_eq!(outcome, CacheOutcome::Miss);
             });
+            entered.wait();
             let waiters: Vec<_> = (0..3)
                 .map(|_| {
                     s.spawn(|| {
@@ -999,12 +1005,16 @@ mod tests {
             max_entries: Some(1),
             max_bytes: None,
         });
+        // `entered` makes the first thread the leader before the waiter
+        // exists (see `racing_misses_coalesce_onto_one_compute`).
+        let entered = Barrier::new(2);
         let release = Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
                 let (v, outcome) = cache
                     .facts
                     .get_or_try(7, || {
+                        entered.wait();
                         release.wait();
                         Ok::<_, String>(facts_of(7))
                     })
@@ -1012,6 +1022,7 @@ mod tests {
                 assert_eq!(v.cycles, 7);
                 assert_eq!(outcome, CacheOutcome::Miss);
             });
+            entered.wait();
             let waiter = s.spawn(|| {
                 cache
                     .facts

@@ -20,10 +20,13 @@ pub enum V5 {
     Db,
 }
 
+/// Every value, in discriminant order (the operation tables' index).
+const ALL: [V5; 5] = [V5::Zero, V5::One, V5::X, V5::D, V5::Db];
+
 impl V5 {
     /// Builds from separate good/faulty components, widening one-sided
     /// knowledge to `X`.
-    pub fn from_pair(good: Option<bool>, faulty: Option<bool>) -> V5 {
+    pub const fn from_pair(good: Option<bool>, faulty: Option<bool>) -> V5 {
         match (good, faulty) {
             (Some(true), Some(true)) => V5::One,
             (Some(false), Some(false)) => V5::Zero,
@@ -34,7 +37,7 @@ impl V5 {
     }
 
     /// The good-machine component.
-    pub fn good(self) -> Option<bool> {
+    pub const fn good(self) -> Option<bool> {
         match self {
             V5::Zero | V5::Db => Some(false),
             V5::One | V5::D => Some(true),
@@ -43,7 +46,7 @@ impl V5 {
     }
 
     /// The faulty-machine component.
-    pub fn faulty(self) -> Option<bool> {
+    pub const fn faulty(self) -> Option<bool> {
         match self {
             V5::Zero | V5::D => Some(false),
             V5::One | V5::Db => Some(true),
@@ -78,39 +81,85 @@ impl V5 {
     }
 
     /// 5-valued AND.
+    #[inline]
     pub fn and(self, other: V5) -> V5 {
-        V5::from_pair(
-            and3(self.good(), other.good()),
-            and3(self.faulty(), other.faulty()),
-        )
+        AND[self as usize][other as usize]
     }
 
     /// 5-valued OR.
+    #[inline]
     pub fn or(self, other: V5) -> V5 {
-        V5::from_pair(
-            or3(self.good(), other.good()),
-            or3(self.faulty(), other.faulty()),
-        )
+        OR[self as usize][other as usize]
     }
 
     /// 5-valued XOR.
+    #[inline]
     pub fn xor(self, other: V5) -> V5 {
-        V5::from_pair(
-            xor3(self.good(), other.good()),
-            xor3(self.faulty(), other.faulty()),
-        )
+        XOR[self as usize][other as usize]
     }
 
     /// 5-valued 2:1 mux (`sel ? a : b`).
+    #[inline]
     pub fn mux(sel: V5, a: V5, b: V5) -> V5 {
-        V5::from_pair(
-            mux3(sel.good(), a.good(), b.good()),
-            mux3(sel.faulty(), a.faulty(), b.faulty()),
-        )
+        MUX[sel as usize][a as usize][b as usize]
     }
 }
 
-fn and3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+// The binary operations are tabulated at compile time from their
+// definitions on separate good/faulty components, so the search's hot
+// loop does one lookup per gate.
+const AND: [[V5; 5]; 5] = table2(0);
+const OR: [[V5; 5]; 5] = table2(1);
+const XOR: [[V5; 5]; 5] = table2(2);
+const MUX: [[[V5; 5]; 5]; 5] = mux_table();
+
+/// The table of AND (`op` 0), OR (1) or XOR (2).
+const fn table2(op: u8) -> [[V5; 5]; 5] {
+    let mut t = [[V5::X; 5]; 5];
+    let mut i = 0;
+    while i < 5 {
+        let mut j = 0;
+        while j < 5 {
+            let (a, b) = (ALL[i], ALL[j]);
+            t[i][j] = V5::from_pair(op3(op, a.good(), b.good()), op3(op, a.faulty(), b.faulty()));
+            j += 1;
+        }
+        i += 1;
+    }
+    t
+}
+
+const fn mux_table() -> [[[V5; 5]; 5]; 5] {
+    let mut t = [[[V5::X; 5]; 5]; 5];
+    let mut s = 0;
+    while s < 5 {
+        let mut i = 0;
+        while i < 5 {
+            let mut j = 0;
+            while j < 5 {
+                let (sel, a, b) = (ALL[s], ALL[i], ALL[j]);
+                t[s][i][j] = V5::from_pair(
+                    mux3(sel.good(), a.good(), b.good()),
+                    mux3(sel.faulty(), a.faulty(), b.faulty()),
+                );
+                j += 1;
+            }
+            i += 1;
+        }
+        s += 1;
+    }
+    t
+}
+
+const fn op3(op: u8, a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    match op {
+        0 => and3(a, b),
+        1 => or3(a, b),
+        _ => xor3(a, b),
+    }
+}
+
+const fn and3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     match (a, b) {
         (Some(false), _) | (_, Some(false)) => Some(false),
         (Some(true), Some(true)) => Some(true),
@@ -118,7 +167,7 @@ fn and3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     }
 }
 
-fn or3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+const fn or3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     match (a, b) {
         (Some(true), _) | (_, Some(true)) => Some(true),
         (Some(false), Some(false)) => Some(false),
@@ -126,14 +175,14 @@ fn or3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     }
 }
 
-fn xor3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+const fn xor3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x != y),
         _ => None,
     }
 }
 
-fn mux3(sel: Option<bool>, a: Option<bool>, b: Option<bool>) -> Option<bool> {
+const fn mux3(sel: Option<bool>, a: Option<bool>, b: Option<bool>) -> Option<bool> {
     match sel {
         Some(true) => a,
         Some(false) => b,
@@ -147,6 +196,27 @@ fn mux3(sel: Option<bool>, a: Option<bool>, b: Option<bool>) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tables_match_the_component_definitions() {
+        let pair = |f: fn(Option<bool>, Option<bool>) -> Option<bool>, a: V5, b: V5| {
+            V5::from_pair(f(a.good(), b.good()), f(a.faulty(), b.faulty()))
+        };
+        for a in ALL {
+            for b in ALL {
+                assert_eq!(a.and(b), pair(and3, a, b), "{a:?} and {b:?}");
+                assert_eq!(a.or(b), pair(or3, a, b), "{a:?} or {b:?}");
+                assert_eq!(a.xor(b), pair(xor3, a, b), "{a:?} xor {b:?}");
+                for s in ALL {
+                    let want = V5::from_pair(
+                        mux3(s.good(), a.good(), b.good()),
+                        mux3(s.faulty(), a.faulty(), b.faulty()),
+                    );
+                    assert_eq!(V5::mux(s, a, b), want, "mux({s:?}, {a:?}, {b:?})");
+                }
+            }
+        }
+    }
 
     #[test]
     fn controlling_values_dominate_x_and_d() {

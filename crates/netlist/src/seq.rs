@@ -11,7 +11,7 @@
 //! the longer the S-graph cycles, the more frames and the more
 //! backtracks the search needs — reproducing the survey §3.1 claim.
 
-use crate::atpg::{podem, AtpgOptions, CombView, Effort, FaultStatus};
+use crate::atpg::{AtpgOptions, CombView, Effort, FaultStatus, PodemContext, TestCube};
 use crate::fault::Fault;
 use crate::net::{GateKind, NetId, Netlist, NetlistBuilder};
 
@@ -154,66 +154,79 @@ pub enum SeqStatus {
 
 /// Sequential PODEM for one fault: tries 1, 2, … `max_frames` frames.
 pub fn seq_podem(nl: &Netlist, fault: Fault, options: &SeqAtpgOptions) -> (SeqStatus, Effort) {
-    let mut effort = Effort::default();
-    let mut any_abort = false;
+    seq_search(nl, &[fault], options)
+        .pop()
+        .expect("one verdict per fault")
+}
+
+/// Sequential PODEM over a fault list, depth-major: each frame count is
+/// unrolled once and searched with one shared [`PodemContext`] for
+/// every fault still undetected at the shallower depths. Each
+/// (fault, depth) search is independent, so the verdicts and per-fault
+/// effort equal fault-major [`seq_podem`] calls.
+fn seq_search(
+    nl: &Netlist,
+    faults: &[Fault],
+    options: &SeqAtpgOptions,
+) -> Vec<(SeqStatus, Effort)> {
+    let atpg = AtpgOptions {
+        backtrack_limit: options.backtrack_limit,
+    };
+    let mut verdicts = vec![(SeqStatus::Untestable, Effort::default()); faults.len()];
+    let mut pending: Vec<usize> = (0..faults.len()).collect();
     for k in 1..=options.max_frames {
-        let unrolled = unroll(nl, k);
-        let sites = unrolled.fault_sites(fault);
-        let (status, e) = podem(
-            &unrolled.netlist,
-            &unrolled.view,
-            &sites,
-            fault.stuck_at_one,
-            &AtpgOptions {
-                backtrack_limit: options.backtrack_limit,
-            },
-        );
-        effort.absorb(e);
-        match status {
-            FaultStatus::Detected(cube) => {
-                let mut sequence = Vec::with_capacity(k);
-                for t in 0..k {
-                    let mut vec_t = Vec::new();
-                    for (id, g) in nl.gates() {
-                        if g.kind == GateKind::Input {
-                            let un = unrolled.net_map[t][id.index()];
-                            vec_t.push(*cube.assignments.get(&un).unwrap_or(&false));
-                        }
-                    }
-                    sequence.push(vec_t);
-                }
-                let scan_load = nl
-                    .scan_flops()
-                    .iter()
-                    .map(|&f| {
-                        let un = unrolled.net_map[0][f.index()];
-                        *cube.assignments.get(&un).unwrap_or(&false)
-                    })
-                    .collect();
-                return (
-                    SeqStatus::Detected {
-                        sequence,
-                        scan_load,
-                        frames: k,
-                    },
-                    effort,
-                );
-            }
-            FaultStatus::Untestable => continue,
-            FaultStatus::Aborted => {
-                any_abort = true;
-                continue;
-            }
+        if pending.is_empty() {
+            break;
         }
+        let unrolled = unroll(nl, k);
+        let mut ctx = PodemContext::new(&unrolled.netlist, &unrolled.view);
+        pending.retain(|&i| {
+            let fault = faults[i];
+            let sites = unrolled.fault_sites(fault);
+            let (status, e) = ctx.podem(&sites, fault.stuck_at_one, &atpg);
+            let (verdict, effort) = &mut verdicts[i];
+            effort.absorb(e);
+            match status {
+                FaultStatus::Detected(cube) => {
+                    *verdict = detection(nl, &unrolled, &cube);
+                    false
+                }
+                FaultStatus::Untestable => true,
+                FaultStatus::Aborted => {
+                    // Stays aborted unless a deeper frame count detects it.
+                    *verdict = SeqStatus::Aborted;
+                    true
+                }
+            }
+        });
     }
-    (
-        if any_abort {
-            SeqStatus::Aborted
-        } else {
-            SeqStatus::Untestable
-        },
-        effort,
-    )
+    verdicts
+}
+
+/// The vector sequence and scan load a detecting cube on `unrolled`
+/// stands for.
+fn detection(nl: &Netlist, unrolled: &Unrolled, cube: &TestCube) -> SeqStatus {
+    let value = |net: NetId| *cube.assignments.get(&net).unwrap_or(&false);
+    let sequence = unrolled
+        .net_map
+        .iter()
+        .map(|map| {
+            nl.gates()
+                .filter(|(_, g)| g.kind == GateKind::Input)
+                .map(|(id, _)| value(map[id.index()]))
+                .collect()
+        })
+        .collect();
+    let scan_load = nl
+        .scan_flops()
+        .iter()
+        .map(|&f| value(unrolled.net_map[0][f.index()]))
+        .collect();
+    SeqStatus::Detected {
+        sequence,
+        scan_load,
+        frames: unrolled.frames,
+    }
 }
 
 /// Aggregate sequential-ATPG result over a fault list.
@@ -252,8 +265,7 @@ pub fn seq_generate_all(nl: &Netlist, faults: &[Fault], options: &SeqAtpgOptions
         total: faults.len(),
         ..Default::default()
     };
-    for &f in faults {
-        let (status, effort) = seq_podem(nl, f, options);
+    for (status, effort) in seq_search(nl, faults, options) {
         run.effort.absorb(effort);
         match status {
             SeqStatus::Detected { frames, .. } => {
@@ -359,6 +371,45 @@ mod tests {
         let scanned = nl.with_full_scan();
         let (status2, _) = seq_podem(&scanned, Fault::sa1(xr), &SeqAtpgOptions::default());
         assert!(matches!(status2, SeqStatus::Detected { .. }));
+    }
+
+    #[test]
+    fn shared_contexts_match_single_fault_searches() {
+        // A feedback loop next to a pipeline: some faults need several
+        // frames, some never resolve.
+        let mut b = NetlistBuilder::new("mixed");
+        let x = b.input("x");
+        let ff = NetId(b.num_gates() as u32 + 1);
+        let xr = b.gate(GateKind::Xor, &[x, ff]);
+        let q = b.gate(GateKind::Dff { scan: false }, &[xr]);
+        assert_eq!(q, ff);
+        let p = b.register(&[x], None, false)[0];
+        let p2 = b.register(&[p], None, true)[0];
+        let o = b.and2(q, p2);
+        b.output("o", o);
+        b.output("p", p2);
+        let nl = b.finish().unwrap();
+        let faults = crate::fault::all_faults(&nl);
+        let opts = SeqAtpgOptions::default();
+        let run = seq_generate_all(&nl, &faults, &opts);
+        let mut want = SeqRun {
+            total: faults.len(),
+            ..Default::default()
+        };
+        for &f in &faults {
+            let (status, effort) = seq_podem(&nl, f, &opts);
+            want.effort.absorb(effort);
+            match status {
+                SeqStatus::Detected { frames, .. } => {
+                    want.detected += 1;
+                    want.total_frames += frames;
+                }
+                SeqStatus::Untestable => want.untestable += 1,
+                SeqStatus::Aborted => want.aborted += 1,
+            }
+        }
+        assert_eq!(run, want);
+        assert!(run.detected > 0 && run.untestable > 0, "{run:?}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! independent instruments — PODEM, parallel-pattern fault simulation,
 //! and exhaustive simulation — must agree on random circuits.
 
-use hlstb_netlist::atpg::{generate_all, podem, AtpgOptions, CombView, FaultStatus};
+use hlstb_netlist::atpg::{generate_all, podem, AtpgOptions, CombView, FaultStatus, PodemContext};
 use hlstb_netlist::fault::{all_faults, Fault};
 use hlstb_netlist::fsim::{comb_fault_sim, TestFrame};
 use hlstb_netlist::net::random_combinational;
@@ -35,6 +35,35 @@ proptest! {
                     "PODEM pattern does not detect {} (seed {})", fault, seed
                 );
             }
+        }
+    }
+
+    /// One context reused across every fault of a netlist gives each
+    /// target the same verdict, effort and cube as a fresh `podem()`
+    /// call: no search state leaks between targets. Tiny backtrack
+    /// limits make some targets abort mid-search, and every other
+    /// target carries a second injection site.
+    #[test]
+    fn reused_context_matches_fresh_podem(
+        seed in 0u64..10_000,
+        gates in 4usize..40,
+        limit in 0u64..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nl = random_combinational(4, gates, 2, &mut rng);
+        let view = CombView::functional(&nl);
+        let options = AtpgOptions { backtrack_limit: limit };
+        let faults = all_faults(&nl);
+        let mut ctx = PodemContext::new(&nl, &view);
+        for (i, fault) in faults.iter().enumerate() {
+            let sites = if i % 2 == 0 {
+                vec![fault.net]
+            } else {
+                vec![fault.net, faults[i * 7 % faults.len()].net]
+            };
+            let fresh = podem(&nl, &view, &sites, fault.stuck_at_one, &options);
+            let reused = ctx.podem(&sites, fault.stuck_at_one, &options);
+            prop_assert_eq!(reused, fresh, "{} (seed {})", fault, seed);
         }
     }
 
