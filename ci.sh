@@ -34,6 +34,21 @@ grep "cache hits:" sweep_summary.txt
 ! grep -q "cache hits: 0," sweep_summary.txt
 rm -f sweep_serial.json sweep_parallel.json sweep_summary.txt
 
+# Structural smoke: an ungraded sweep over every scheduler, register
+# policy and strategy (the axes whose front ends and DFT stages run
+# MFVS) must be byte-identical between the serial uncached and the
+# threaded cached paths.
+./target/release/hlstb sweep --designs figure1,diffeq \
+    --schedulers list,io-aware,asap,force-directed=1 \
+    --policies left-edge,dsatur,io-max,boundary,loop-avoiding,avra \
+    --threads 1 --no-cache --json >structural_serial.json
+./target/release/hlstb sweep --designs figure1,diffeq \
+    --schedulers list,io-aware,asap,force-directed=1 \
+    --policies left-edge,dsatur,io-max,boundary,loop-avoiding,avra \
+    --threads 2 --cache --json >structural_parallel.json
+cmp structural_serial.json structural_parallel.json
+rm -f structural_serial.json structural_parallel.json
+
 # Fault smoke: inject failures into 2 of 6 points. The other 4 must
 # complete, the failures must surface as typed records (panic/timeout),
 # and the report must stay byte-identical between the serial uncached

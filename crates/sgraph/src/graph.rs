@@ -178,31 +178,30 @@ impl SGraph {
         }
         let n = self.num_nodes();
         let mut color = vec![C::W; n];
+        // DFS frames walk each sorted successor set with a cursor.
+        let mut stack = Vec::new();
         for s in 0..n {
             if color[s] != C::W {
                 continue;
             }
-            let mut stack = vec![(s, self.succs[s].iter().copied().collect::<Vec<_>>(), 0usize)];
             color[s] = C::G;
-            while let Some((node, succs, idx)) = stack.last_mut() {
-                if *idx < succs.len() {
-                    let next = succs[*idx] as usize;
-                    *idx += 1;
-                    if next == *node {
-                        continue; // self-loop, tolerated (checked above otherwise)
-                    }
-                    match color[next] {
+            stack.push((s, self.succs[s].iter()));
+            while let Some((node, succs)) = stack.last_mut() {
+                let node = *node;
+                match succs.next().map(|&v| v as usize) {
+                    Some(next) if next == node => {} // self-loop, tolerated (checked above otherwise)
+                    Some(next) => match color[next] {
                         C::W => {
                             color[next] = C::G;
-                            let sl = self.succs[next].iter().copied().collect();
-                            stack.push((next, sl, 0));
+                            stack.push((next, self.succs[next].iter()));
                         }
                         C::G => return false,
                         C::B => {}
+                    },
+                    None => {
+                        color[node] = C::B;
+                        stack.pop();
                     }
-                } else {
-                    color[*node] = C::B;
-                    stack.pop();
                 }
             }
         }

@@ -4,15 +4,29 @@
 //!
 //! Scanning the registers of a feedback vertex set (FVS) makes the
 //! remaining S-graph acyclic (self-loops optionally tolerated), which is
-//! what makes sequential ATPG tractable. Exact minimization is NP-hard;
-//! this module combines Levy–Low-style reductions, an exact
-//! branch-and-bound for small strongly connected components, and a
-//! degree-product greedy fallback.
+//! what makes sequential ATPG tractable. Exact minimization is NP-hard.
+//! The solver runs in three steps:
+//!
+//! 1. When self-loops are not tolerated, every self-looped node is
+//!    forced into the set and deleted.
+//! 2. The rest splits into cyclic strongly connected components, each
+//!    solved on its own (an FVS of the graph is the union of FVSs of
+//!    its SCCs).
+//! 3. A component of at most [`MfvsOptions::exact_threshold`] nodes
+//!    (never more than [`MAX_EXACT_NODES`]) is solved exactly by
+//!    branch and bound over `u64` adjacency masks: iterative deepening
+//!    on the set size, branching on the nodes of a shortest cycle.
+//!    Larger components fall back to a greedy heuristic that removes
+//!    the node with the largest in-degree × out-degree product.
 
 use std::collections::BTreeSet;
 
 use crate::graph::{NodeId, SGraph};
 use crate::scc::cyclic_components;
+
+/// The largest component the exact search takes: one bit per node in a
+/// `u64` adjacency mask.
+pub const MAX_EXACT_NODES: usize = 64;
 
 /// Options for FVS selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,6 +38,7 @@ pub struct MfvsOptions {
     pub tolerate_self_loops: bool,
     /// Components with at most this many nodes are solved exactly by
     /// branch and bound; larger ones fall back to the greedy heuristic.
+    /// Values above [`MAX_EXACT_NODES`] are clamped to it.
     pub exact_threshold: usize,
 }
 
@@ -76,33 +91,35 @@ pub fn minimum_feedback_vertex_set(g: &SGraph, options: MfvsOptions) -> Feedback
     let mut selected: BTreeSet<NodeId> = BTreeSet::new();
     let mut optimal = true;
 
-    let mut work = g.clone();
-    let mut names: Vec<NodeId> = g.nodes().collect(); // work id -> original id
+    // Self-loop nodes are unavoidable members when loops are not
+    // tolerated; `names` maps the stripped graph's ids back.
+    let stripped;
+    let (work, names) = if options.tolerate_self_loops {
+        (g, None)
+    } else {
+        let forced: BTreeSet<NodeId> = g.nodes().filter(|&n| g.has_self_loop(n)).collect();
+        let (rest, map) = g.without_nodes(&forced);
+        selected.extend(forced);
+        stripped = rest;
+        (&stripped, Some(map))
+    };
+    let name = |n: NodeId| names.as_ref().map_or(n, |m| m[n.index()]);
 
-    if !options.tolerate_self_loops {
-        // Self-loop nodes are unavoidable members.
-        let forced: BTreeSet<NodeId> = work.nodes().filter(|&n| work.has_self_loop(n)).collect();
-        for n in &forced {
-            selected.insert(names[n.index()]);
-        }
-        let (ng, map) = work.without_nodes(&forced);
-        names = map.iter().map(|m| names[m.index()]).collect();
-        work = ng;
-    }
-
-    // Decompose into cyclic SCCs and solve each independently (an FVS of
-    // the whole graph is the union of FVSs of its SCCs).
-    for comp in cyclic_components(&work) {
-        let keep: BTreeSet<NodeId> = comp.iter().copied().collect();
-        let (sub, map) = work.induced_subgraph(&keep);
-        let local = if sub.num_nodes() <= options.exact_threshold {
-            exact_fvs(&sub)
+    let threshold = options.exact_threshold.min(MAX_EXACT_NODES);
+    for comp in cyclic_components(work) {
+        if comp.len() <= threshold {
+            let mut set = MaskGraph::of_component(work, &comp).minimum_fvs();
+            while set != 0 {
+                selected.insert(name(comp[set.trailing_zeros() as usize]));
+                set &= set - 1;
+            }
         } else {
             optimal = false;
-            greedy_fvs(&sub)
-        };
-        for n in local {
-            selected.insert(names[map[n.index()].index()]);
+            let keep: BTreeSet<NodeId> = comp.iter().copied().collect();
+            let (sub, map) = work.induced_subgraph(&keep);
+            for n in greedy_fvs(&sub) {
+                selected.insert(name(map[n.index()]));
+            }
         }
     }
     debug_assert!(is_feedback_vertex_set(
@@ -122,89 +139,113 @@ fn selected_covers_self_loops(g: &SGraph, set: &BTreeSet<NodeId>) -> bool {
         .all(|n| set.contains(&n))
 }
 
-/// Exact minimum FVS (self-loops already handled by the caller; they are
-/// ignored here) by iterative deepening over set size, branching on the
-/// nodes of a shortest cycle.
-fn exact_fvs(g: &SGraph) -> Vec<NodeId> {
-    if g.is_acyclic(true) {
-        return Vec::new();
-    }
-    for k in 1..=g.num_nodes() {
-        if let Some(sol) = search(g, k, &mut BTreeSet::new()) {
-            return sol;
-        }
-    }
-    unreachable!("removing all nodes always breaks all cycles");
+/// One component of at most [`MAX_EXACT_NODES`] nodes as successor
+/// masks over local ids (the component's nodes in ascending order).
+/// Self-loops are masked out; a node set is a `u64` with bit `i` for
+/// local node `i`.
+struct MaskGraph {
+    /// Bit `j` of `succ[i]` is set iff the edge `i → j` exists, `i ≠ j`.
+    succ: [u64; MAX_EXACT_NODES],
+    /// Every local node.
+    all: u64,
 }
 
-fn search(g: &SGraph, budget: usize, removed: &mut BTreeSet<NodeId>) -> Option<Vec<NodeId>> {
-    let (rest, map) = g.without_nodes(removed);
-    let cycle = match find_short_cycle(&rest) {
-        None => return Some(removed.iter().copied().collect()),
-        Some(c) => c,
-    };
-    if budget == 0 {
-        return None;
-    }
-    for n in cycle {
-        let orig = map[n.index()];
-        removed.insert(orig);
-        if let Some(sol) = search(g, budget - 1, removed) {
-            return Some(sol);
-        }
-        removed.remove(&orig);
-    }
-    None
-}
+/// A cycle as local ids in path order, with its length.
+type Path = ([u8; MAX_EXACT_NODES], usize);
 
-/// A shortest non-self-loop cycle, by BFS from every node.
-fn find_short_cycle(g: &SGraph) -> Option<Vec<NodeId>> {
-    let n = g.num_nodes();
-    let mut best: Option<Vec<NodeId>> = None;
-    for s in 0..n {
-        // BFS tracking parents; find shortest path s -> ... -> s.
-        let mut parent = vec![usize::MAX; n];
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        for w in g.successors(NodeId(s as u32)).map(|x| x.index()) {
-            if w == s {
-                continue;
-            }
-            if dist[w] == usize::MAX {
-                dist[w] = 1;
-                parent[w] = s;
-                queue.push_back(w);
-            }
-        }
-        'bfs: while let Some(u) = queue.pop_front() {
-            for w in g.successors(NodeId(u as u32)).map(|x| x.index()) {
-                if w == s {
-                    // reconstruct
-                    let mut path = vec![NodeId(u as u32)];
-                    let mut cur = u;
-                    while parent[cur] != s {
-                        cur = parent[cur];
-                        path.push(NodeId(cur as u32));
+impl MaskGraph {
+    /// Masks for `comp` (sorted ascending, as `cyclic_components` emits).
+    fn of_component(g: &SGraph, comp: &[NodeId]) -> Self {
+        debug_assert!(comp.len() <= MAX_EXACT_NODES);
+        let mut succ = [0u64; MAX_EXACT_NODES];
+        for (i, &u) in comp.iter().enumerate() {
+            for v in g.successors(u) {
+                if let Ok(j) = comp.binary_search(&v) {
+                    if j != i {
+                        succ[i] |= 1 << j;
                     }
-                    path.push(NodeId(s as u32));
-                    path.reverse();
-                    if best.as_ref().is_none_or(|b| path.len() < b.len()) {
-                        best = Some(path);
-                    }
-                    break 'bfs;
                 }
-                if dist[w] == usize::MAX {
+            }
+        }
+        MaskGraph {
+            succ,
+            all: u64::MAX >> (MAX_EXACT_NODES - comp.len()),
+        }
+    }
+
+    /// Exact minimum FVS by iterative deepening over the set size.
+    fn minimum_fvs(&self) -> u64 {
+        (0..=self.all.count_ones() as usize)
+            .find_map(|k| self.search(k, 0))
+            .expect("removing every node breaks every cycle")
+    }
+
+    /// The first FVS of at most `budget` more nodes on top of `removed`,
+    /// branching on the nodes of a shortest remaining cycle in path
+    /// order.
+    fn search(&self, budget: usize, removed: u64) -> Option<u64> {
+        let (path, len) = match self.shortest_cycle(removed) {
+            None => return Some(removed),
+            Some(c) => c,
+        };
+        if budget == 0 {
+            return None;
+        }
+        path[..len]
+            .iter()
+            .find_map(|&v| self.search(budget - 1, removed | 1 << v))
+    }
+
+    /// A shortest cycle among the nodes not in `removed`, by BFS from
+    /// every live node in ascending order (successors visited in
+    /// ascending order). The cycle starts at its BFS source; ties go to
+    /// the smallest source, and a 2-cycle ends the scan.
+    fn shortest_cycle(&self, removed: u64) -> Option<Path> {
+        let live = self.all & !removed;
+        let mut best: Path = ([0; MAX_EXACT_NODES], 0);
+        let mut parent = [0u8; MAX_EXACT_NODES];
+        let mut dist = [0u8; MAX_EXACT_NODES];
+        let mut queue = [0u8; MAX_EXACT_NODES];
+        let mut sources = live;
+        while sources != 0 && best.1 != 2 {
+            let s = sources.trailing_zeros() as u8;
+            sources &= sources - 1;
+            // The source sits at distance 0; its masked-out self-loop
+            // never closes a cycle, so it only seeds the first layer.
+            queue[0] = s;
+            dist[s as usize] = 0;
+            let mut seen = 1u64 << s;
+            let (mut head, mut tail) = (0, 1);
+            while head < tail {
+                let u = queue[head] as usize;
+                head += 1;
+                let len = dist[u] as usize + 1;
+                if best.1 != 0 && len >= best.1 {
+                    break; // BFS order: no shorter cycle through `s` remains
+                }
+                if self.succ[u] & (1 << s) != 0 {
+                    let mut cur = u as u8;
+                    for i in (0..len).rev() {
+                        best.0[i] = cur;
+                        cur = parent[cur as usize];
+                    }
+                    best.1 = len;
+                    break;
+                }
+                let mut next = self.succ[u] & live & !seen;
+                seen |= next;
+                while next != 0 {
+                    let w = next.trailing_zeros() as usize;
+                    next &= next - 1;
+                    parent[w] = u as u8;
                     dist[w] = dist[u] + 1;
-                    parent[w] = u;
-                    queue.push_back(w);
+                    queue[tail] = w as u8;
+                    tail += 1;
                 }
             }
         }
-        if best.as_ref().is_some_and(|b| b.len() == 2) {
-            break; // cannot do better than a 2-cycle
-        }
+        (best.1 != 0).then_some(best)
     }
-    best
 }
 
 /// Greedy FVS: repeatedly remove the node with the largest

@@ -1,16 +1,22 @@
 //! Property tests for the S-graph algorithms on random digraphs.
 
+use std::collections::BTreeSet;
+
 use hlstb_sgraph::cycles::{enumerate_cycles, CycleLimits};
 use hlstb_sgraph::depth::sequential_depth;
-use hlstb_sgraph::mfvs::{is_feedback_vertex_set, minimum_feedback_vertex_set, MfvsOptions};
+use hlstb_sgraph::mfvs::{
+    is_feedback_vertex_set, minimum_feedback_vertex_set, MfvsOptions, MAX_EXACT_NODES,
+};
 use hlstb_sgraph::scc::{cyclic_components, strongly_connected_components};
 use hlstb_sgraph::{NodeId, SGraph};
 use proptest::prelude::*;
 
-fn graph_strategy() -> impl Strategy<Value = SGraph> {
+/// Random digraphs with a node count in `nodes` and fewer than
+/// `max_edges` edges (duplicates collapse, self-loops allowed).
+fn graphs(nodes: std::ops::Range<usize>, max_edges: usize) -> impl Strategy<Value = SGraph> {
     (
-        2usize..14,
-        proptest::collection::vec((0u32..14, 0u32..14), 0..50),
+        nodes,
+        proptest::collection::vec((0u32..14, 0u32..14), 0..max_edges),
     )
         .prop_map(|(n, edges)| {
             SGraph::from_edges(
@@ -18,6 +24,28 @@ fn graph_strategy() -> impl Strategy<Value = SGraph> {
                 edges.into_iter().map(|(a, b)| (a % n as u32, b % n as u32)),
             )
         })
+}
+
+fn graph_strategy() -> impl Strategy<Value = SGraph> {
+    graphs(2..14, 50)
+}
+
+/// The size of a smallest FVS, by trying every node subset.
+fn brute_force_fvs_size(g: &SGraph, tolerate_self_loops: bool) -> usize {
+    let n = g.num_nodes();
+    (0u32..1 << n)
+        .filter(|bits| {
+            let set: BTreeSet<NodeId> = g.nodes().filter(|v| bits >> v.0 & 1 == 1).collect();
+            is_feedback_vertex_set(g, &set, tolerate_self_loops)
+        })
+        .map(|bits| bits.count_ones() as usize)
+        .min()
+        .expect("the whole node set is an FVS")
+}
+
+/// A ring over `n` nodes.
+fn ring(n: u32) -> Vec<(u32, u32)> {
+    (0..n).map(|i| (i, (i + 1) % n)).collect()
 }
 
 proptest! {
@@ -89,6 +117,20 @@ proptest! {
         prop_assert!(exact.nodes.len() <= greedy.nodes.len());
     }
 
+    /// Exact MFVS finds a true minimum, in both self-loop modes.
+    #[test]
+    fn exact_matches_brute_force_minimum(g in graphs(1..11, 30)) {
+        for tolerate_self_loops in [true, false] {
+            let fvs = minimum_feedback_vertex_set(
+                &g,
+                MfvsOptions { tolerate_self_loops, exact_threshold: 16 },
+            );
+            prop_assert!(fvs.optimal);
+            prop_assert!(is_feedback_vertex_set(&g, &fvs.nodes, tolerate_self_loops));
+            prop_assert_eq!(fvs.nodes.len(), brute_force_fvs_size(&g, tolerate_self_loops));
+        }
+    }
+
     /// Depth is monotone under edge addition (more paths can only help).
     #[test]
     fn depth_improves_with_more_edges(g in graph_strategy()) {
@@ -111,4 +153,42 @@ proptest! {
             }
         }
     }
+}
+
+/// A 64-node component is the largest the word-mask search takes: a
+/// 64-ring with two 2-cycles needs exactly those two nodes.
+#[test]
+fn sixty_four_node_component_is_solved_exactly() {
+    let mut edges = ring(64);
+    edges.extend([(1, 0), (33, 32)]);
+    let g = SGraph::from_edges(64, edges);
+    let fvs = minimum_feedback_vertex_set(
+        &g,
+        MfvsOptions {
+            exact_threshold: MAX_EXACT_NODES,
+            ..Default::default()
+        },
+    );
+    assert!(fvs.optimal);
+    assert_eq!(
+        fvs.nodes.into_iter().collect::<Vec<_>>(),
+        vec![NodeId(0), NodeId(32)]
+    );
+}
+
+/// Thresholds above 64 are clamped: a 65-node component falls back to
+/// the greedy heuristic and is not reported optimal.
+#[test]
+fn threshold_above_sixty_four_falls_back_to_greedy() {
+    let g = SGraph::from_edges(65, ring(65));
+    let fvs = minimum_feedback_vertex_set(
+        &g,
+        MfvsOptions {
+            exact_threshold: 1000,
+            ..Default::default()
+        },
+    );
+    assert!(!fvs.optimal);
+    assert!(is_feedback_vertex_set(&g, &fvs.nodes, true));
+    assert_eq!(fvs.nodes.len(), 1);
 }

@@ -1,7 +1,7 @@
 # `just ci` = the full tier-1 gate; individual recipes for local loops.
 
 # Everything CI checks, in order.
-ci: build test fmt clippy trace-smoke sweep-smoke sweep-fault-smoke sweep-workers-smoke sweep-tcp-smoke serve-smoke events-smoke soa-equiv perf-floor
+ci: build test fmt clippy trace-smoke sweep-smoke structural-smoke sweep-fault-smoke sweep-workers-smoke sweep-tcp-smoke serve-smoke events-smoke soa-equiv perf-floor
 
 # Release build (the tier-1 compile gate), all members and binaries.
 build:
@@ -40,6 +40,21 @@ sweep-smoke: build
     grep "cache hits:" sweep_summary.txt
     ! grep -q "cache hits: 0," sweep_summary.txt
     rm -f sweep_serial.json sweep_parallel.json sweep_summary.txt
+
+# Ungraded sweep over every scheduler, register policy and strategy
+# (the axes whose front ends and DFT stages run MFVS): serial uncached
+# and threaded cached reports must be byte-identical.
+structural-smoke: build
+    ./target/release/hlstb sweep --designs figure1,diffeq \
+        --schedulers list,io-aware,asap,force-directed=1 \
+        --policies left-edge,dsatur,io-max,boundary,loop-avoiding,avra \
+        --threads 1 --no-cache --json >structural_serial.json
+    ./target/release/hlstb sweep --designs figure1,diffeq \
+        --schedulers list,io-aware,asap,force-directed=1 \
+        --policies left-edge,dsatur,io-max,boundary,loop-avoiding,avra \
+        --threads 2 --cache --json >structural_parallel.json
+    cmp structural_serial.json structural_parallel.json
+    rm -f structural_serial.json structural_parallel.json
 
 # Robustness smoke: inject failures into 2 of 6 points (the other 4
 # must complete with typed error records, byte-identically across
