@@ -105,6 +105,15 @@ HLSTB_WORKER_FAIL="0:1" ./target/release/hlstb sweep \
 cmp workers_serial.json workers_killed.json
 grep "re-issuing" workers_killed_summary.txt
 grep "1 reissued" workers_killed_summary.txt
+# The `io:` fail-point fails the coordinator's checkpoint append as it
+# fails the in-process pool's: one warning, checkpointing stops, and
+# the report is unchanged.
+HLSTB_FAIL_POINT="io:1" ./target/release/hlstb sweep \
+    --designs figure1,tseng --strategies none,full-scan,bist-shared \
+    --grade 64 --workers 2 --checkpoint workers_io_ckpt.jsonl --json \
+    >workers_io.json 2>workers_io_summary.txt
+cmp workers_serial.json workers_io.json
+grep "continuing without checkpointing" workers_io_summary.txt
 
 # TCP transport smoke: the same sweep served over `--listen` to four
 # dialed-in `sweep-worker --connect` processes must splice
@@ -153,6 +162,7 @@ grep "re-issuing" tcp_killed_summary.txt
 
 rm -f workers_serial.json workers_sharded.json workers_summary.txt \
     workers_killed.json workers_killed_summary.txt \
+    workers_io.json workers_io_summary.txt workers_io_ckpt.jsonl \
     tcp_sharded.json tcp_summary.txt tcp_killed.json tcp_killed_summary.txt
 
 # Serve smoke: the persistent daemon must (1) answer four concurrent

@@ -2,6 +2,17 @@
 //! optional artifact memoization, panic isolation, per-point deadlines,
 //! bounded retries, and checkpoint/resume.
 //!
+//! # One pipeline
+//!
+//! Every point runs front → facts → dft → netlist → grading → report
+//! through one function whatever the cache setting. Each stage goes
+//! through one memo step: with a store it is a single-flight lookup
+//! under a content key (built only when a cache exists), and with the
+//! cache off it is a pass-through that computes the artifact and wraps
+//! it in an `Arc`.
+//! So cache on and off differ only in that step and cannot drift
+//! apart.
+//!
 //! # Determinism
 //!
 //! Every pipeline stage is a pure function of its inputs (grading is
@@ -13,7 +24,7 @@
 //!   pattern budget and shallower budgets read a curve prefix — the
 //!   batch loop of `random_pattern_run_opts` draws frames and drops
 //!   faults identically whether or not later batches follow, so the
-//!   prefix equals a direct run at the shallow budget;
+//!   prefix equals a pass-through run at the shallow budget;
 //! * every other stage returns the same artifact for the same key by
 //!   construction (content-derived keys over deterministic stages).
 //!
@@ -49,7 +60,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use hlstb::cdfg::Cdfg;
 use hlstb::flow::{DftStrategy, SynthesisFlow, SynthesizedDesign};
 use hlstb::netlist::deadline::Deadline;
 use hlstb::netlist::fault::collapsed_faults;
@@ -58,7 +68,7 @@ use hlstb::netlist::random::{random_pattern_run_opts, CoveragePoint, RandomRun};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cache::{ArtifactCache, CacheOutcome, DftOutput};
+use crate::cache::{ArtifactCache, DftOutput, Store};
 use crate::checkpoint::{self, Checkpoint, RestoredSet};
 use crate::error::PointError;
 use crate::failpoint::{FailMode, FailPlan};
@@ -347,6 +357,35 @@ impl<'a> PointRunner<'a> {
         });
     }
 
+    /// Appends point `i`'s canonical record to the checkpoint — the one
+    /// append of every sweep mode (in-process pool, worker splice,
+    /// inline fallback). The `io:` fail-point targets the append
+    /// itself: the point evaluated fine, only its write "fails" —
+    /// exactly what a real ENOSPC looks like. A failed write counts in
+    /// `errors` and latches the checkpoint into its degraded no-op.
+    pub(crate) fn checkpoint(
+        &self,
+        ck: &Checkpoint,
+        i: usize,
+        canonical: &str,
+        errors: &AtomicUsize,
+    ) {
+        let index = self.points[i].index;
+        let injected = self.fail_plan.as_ref().and_then(|fp| fp.mode(index)) == Some(FailMode::Io)
+            && !ck.degraded();
+        let written = if injected {
+            Err(PointError::Io {
+                message: format!("checkpoint write: injected io fail-point at point {index}"),
+            })
+        } else {
+            ck.record(self.point_keys[i], index, canonical)
+        };
+        if let Err(e) = written {
+            errors.fetch_add(1, Ordering::Relaxed);
+            ck.degrade(&e.to_string());
+        }
+    }
+
     /// Evaluates point `i` — panic-isolated, deadline-armed, retried —
     /// and journals its completion or typed failure.
     pub fn eval(&self, i: usize) -> (PointRecord, Option<SynthesizedDesign>) {
@@ -465,26 +504,7 @@ pub fn run_sweep_with(
                 m.tick(&record, runner.retries(), 0, runner.cache());
             }
             if let Some(ck) = &writer {
-                // The `io:` fail-point targets the append itself: the
-                // point evaluated fine above, only its checkpoint write
-                // "fails" — exactly what a real ENOSPC looks like.
-                let injected = recovery.fail_plan.as_ref().and_then(|fp| fp.mode(p.index))
-                    == Some(FailMode::Io)
-                    && !ck.degraded();
-                let r = if injected {
-                    Err(PointError::Io {
-                        message: format!(
-                            "checkpoint write: injected io fail-point at point {}",
-                            p.index
-                        ),
-                    })
-                } else {
-                    ck.record(runner.key(i), p.index, &record.canonical_point_json())
-                };
-                if let Err(e) = r {
-                    checkpoint_errors.fetch_add(1, Ordering::Relaxed);
-                    ck.degrade(&e.to_string());
-                }
+                runner.checkpoint(ck, i, &record.canonical_point_json(), &checkpoint_errors);
             }
             *slots[i].lock().expect("slot lock") = Some((record, design));
         }
@@ -632,18 +652,29 @@ fn eval_with_retry(
     }
 }
 
-/// The flow for one point; stage composition happens in the caller.
-fn base_flow(spec: &SweepSpec, design: &Cdfg, p: Point) -> SynthesisFlow {
-    SynthesisFlow::new(design.clone())
-        .scheduler(p.scheduler)
-        .register_policy(p.policy)
-        .strategy(p.strategy)
-        .width(p.width)
-        .reset_controller(spec.reset_controller)
-}
-
 type PointOutput = (PointMetrics, Option<SynthesizedDesign>);
 
+/// One attempt at point `p`: the injected failure, if any, then the
+/// point pipeline front → facts → dft → netlist → grading → report,
+/// each stage through [`stage`]'s memo step, so both cache settings
+/// run literally the same composition. Stage keys, in dependency
+/// order, are built only when a cache asks for them:
+///
+/// * front end — design content + scheduler + policy (the integrated
+///   loop-avoidance strategy replaces the scheduler/policy pair, so it
+///   keys on the design + a marker instead);
+/// * S-graph facts — same key as the front end (strategy-independent);
+/// * DFT output — front-end key + strategy;
+/// * netlist — *content* of the marked data path + width (+ reset
+///   flag), so every strategy that leaves identical marks (all four
+///   no-scan strategies: none, both BISTs, k-level points) shares one
+///   expansion;
+/// * grading run — the netlist key + the sweep's deepest budget, at
+///   which a cached run is evaluated once and read as a prefix for
+///   shallower ones. The depth is part of the key because a cache
+///   shared across sweeps (the serve daemon's) must not serve a
+///   shallower run to a deeper sweep. Uncached, a point grades at its
+///   own budget; [`coverage_at`] reads both curves identically.
 #[allow(clippy::too_many_arguments)]
 fn eval_point(
     spec: &SweepSpec,
@@ -674,10 +705,107 @@ fn eval_point(
         }
         _ => {}
     }
-    match cache {
-        Some(c) => eval_cached(spec, design_keys, p, c, max_patterns, keep, deadline),
-        None => eval_direct(spec, p, keep, deadline),
-    }
+    let design = &spec.designs[p.design];
+    let flow = SynthesisFlow::new(design.clone())
+        .scheduler(p.scheduler)
+        .register_policy(p.policy)
+        .strategy(p.strategy)
+        .width(p.width)
+        .reset_controller(spec.reset_controller);
+    let front_key = cache.map(|c| {
+        let k = if p.strategy == DftStrategy::SimultaneousLoopAvoidance {
+            key::combine(&[design_keys[p.design], key::hash_debug("simsched")])
+        } else {
+            key::combine(&[
+                design_keys[p.design],
+                key::hash_debug(&p.scheduler),
+                key::hash_debug(&p.policy),
+            ])
+        };
+        (c, k)
+    });
+    let fe = stage(p, "front", front_key.map(|(c, k)| (&c.front, k)), || {
+        flow.front_end().map_err(PointError::from)
+    })?;
+    let facts = stage(p, "facts", front_key.map(|(c, k)| (&c.facts, k)), || {
+        Ok(SynthesisFlow::sgraph_facts(&fe.datapath))
+    })?;
+    // The DFT stage consumes the front end: an unshared (uncached) one
+    // is marked in place, a cached one is cloned first.
+    let kept = keep.then(|| (fe.schedule.clone(), fe.binding.clone()));
+    let dft_key =
+        front_key.map(|(c, k)| (&c.dft, key::combine(&[k, key::hash_debug(&p.strategy)])));
+    let dft = stage(p, "dft", dft_key, || {
+        let mut fe = Arc::unwrap_or_clone(fe);
+        let plans = flow.apply_dft(&mut fe);
+        Ok(DftOutput {
+            datapath: fe.datapath,
+            plans,
+        })
+    })?;
+    let nl_key = cache.map(|c| {
+        let k = key::combine(&[
+            key::hash_debug(&dft.datapath),
+            u64::from(p.width),
+            u64::from(spec.reset_controller),
+        ]);
+        (c, k)
+    });
+    let expanded = stage(p, "netlist", nl_key.map(|(c, k)| (&c.netlist, k)), || {
+        flow.expand_netlist(&dft.datapath).map_err(PointError::from)
+    })?;
+    let (coverage_percent, timed_out) = if p.patterns > 0 {
+        let budget = if cache.is_some() {
+            max_patterns
+        } else {
+            p.patterns
+        };
+        let grading_key =
+            nl_key.map(|(c, k)| (&c.grading, key::combine(&[k, max_patterns as u64])));
+        let run = stage(p, "grading", grading_key, || {
+            let faults = collapsed_faults(&expanded.netlist);
+            let mut rng = StdRng::seed_from_u64(SWEEP_SEED);
+            let (run, gstats) = random_pattern_run_opts(
+                &expanded.netlist,
+                &faults,
+                budget,
+                &mut rng,
+                &grade_opts(deadline),
+            );
+            grading_event(p, &gstats);
+            Ok(run)
+        })?;
+        (
+            Some(coverage_at(&run.curve, p.patterns)),
+            grading_truncated(&run, p.patterns),
+        )
+    } else {
+        (None, false)
+    };
+    let t = Instant::now();
+    let report = flow.build_report(&dft.datapath, &expanded, dft.plans.bist.as_ref(), &facts);
+    stage_event(p, "report", cache.is_none().then_some("off"), t.elapsed());
+    let design_out = kept.map(|(schedule, binding)| {
+        let dft = Arc::unwrap_or_clone(dft);
+        SynthesizedDesign {
+            cdfg: design.clone(),
+            schedule,
+            binding,
+            datapath: dft.datapath,
+            expanded: Arc::unwrap_or_clone(expanded),
+            report: report.clone(),
+            bist_plan: dft.plans.bist,
+            kcontrol_plan: dft.plans.kcontrol,
+        }
+    });
+    Ok((
+        PointMetrics {
+            report,
+            coverage_percent,
+            timed_out,
+        },
+        design_out,
+    ))
 }
 
 fn grade_opts(deadline: Deadline) -> ParallelOptions {
@@ -688,15 +816,40 @@ fn grade_opts(deadline: Deadline) -> ParallelOptions {
 }
 
 /// Journals one pipeline-stage completion for a point. The stage name
-/// is a stable coordinate; the cache outcome and wall time ride
-/// volatile (racing workers flip hit/miss/coalesced, and the canonical
-/// projection must stay byte-identical across cache settings).
-fn stage_event(p: Point, stage: &'static str, outcome: Option<CacheOutcome>, wall: Duration) {
+/// is a stable coordinate; the cache label and wall time ride volatile
+/// (racing workers flip hit/miss/coalesced, and the canonical
+/// projection must stay byte-identical across cache settings). A stage
+/// with no store in a cached sweep (the report) carries no label.
+fn stage_event(p: Point, stage: &'static str, cache: Option<&'static str>, wall: Duration) {
     hlstb_trace::events::emit("point.stage", Some(p.index as u64), |e| {
-        e.str("stage", stage)
-            .volatile_str("cache", outcome.map_or("off", CacheOutcome::label))
-            .volatile_u64("wall_us", wall.as_micros() as u64);
+        e.str("stage", stage);
+        if let Some(label) = cache {
+            e.volatile_str("cache", label);
+        }
+        e.volatile_u64("wall_us", wall.as_micros() as u64);
     });
+}
+
+/// One pipeline stage through its memo step, timed and journaled. With
+/// a store and its key, the artifact is a single-flight lookup; with
+/// none, `compute` runs and its result is wrapped in an `Arc` as a
+/// pass-through, labelled `off`.
+fn stage<T>(
+    p: Point,
+    name: &'static str,
+    memo: Option<(&Store<T>, u64)>,
+    compute: impl FnOnce() -> Result<T, PointError>,
+) -> Result<Arc<T>, PointError> {
+    let t = Instant::now();
+    let (value, label) = match memo {
+        Some((store, key)) => {
+            let (v, outcome) = store.get_or_try(key, compute)?;
+            (v, outcome.label())
+        }
+        None => (Arc::new(compute()?), "off"),
+    };
+    stage_event(p, name, Some(label), t.elapsed());
+    Ok(value)
 }
 
 /// Journals a grading run's work counters against the point whose
@@ -716,188 +869,6 @@ fn grading_event(p: Point, stats: &hlstb::netlist::stats::GradeStats) {
             .volatile_u64("flip_events", stats.flip_events)
             .volatile_u64("early_exits", stats.early_exits);
     });
-}
-
-/// The memoized pipeline. Stage keys, in dependency order:
-///
-/// * front end — design content + scheduler + policy (the integrated
-///   loop-avoidance strategy replaces the scheduler/policy pair, so it
-///   keys on the design + a marker instead);
-/// * S-graph facts — same key as the front end (strategy-independent);
-/// * DFT output — front-end key + strategy;
-/// * netlist — *content* of the marked data path + width (+ reset
-///   flag), so every strategy that leaves identical marks (all four
-///   no-scan strategies: none, both BISTs, k-level points) shares one
-///   expansion;
-/// * grading run — the netlist key + the sweep's deepest budget, at
-///   which it is evaluated once and read as a prefix for shallower
-///   ones. The depth is part of the key because a cache shared across
-///   sweeps (the serve daemon's) must not serve a shallower run to a
-///   deeper sweep.
-fn eval_cached(
-    spec: &SweepSpec,
-    design_keys: &[u64],
-    p: Point,
-    cache: &ArtifactCache,
-    max_patterns: usize,
-    keep: bool,
-    deadline: Deadline,
-) -> Result<PointOutput, PointError> {
-    let design = &spec.designs[p.design];
-    let flow = base_flow(spec, design, p);
-    let front_key = if p.strategy == DftStrategy::SimultaneousLoopAvoidance {
-        key::combine(&[design_keys[p.design], key::hash_debug("simsched")])
-    } else {
-        key::combine(&[
-            design_keys[p.design],
-            key::hash_debug(&p.scheduler),
-            key::hash_debug(&p.policy),
-        ])
-    };
-    let t = Instant::now();
-    let (fe, fe_hit) = cache
-        .front
-        .get_or_try(front_key, || flow.front_end().map_err(PointError::from))?;
-    stage_event(p, "front", Some(fe_hit), t.elapsed());
-    let t = Instant::now();
-    let (facts, facts_hit) = cache.facts.get_or_try(front_key, || {
-        Ok::<_, PointError>(SynthesisFlow::sgraph_facts(&fe.datapath))
-    })?;
-    stage_event(p, "facts", Some(facts_hit), t.elapsed());
-    let dft_key = key::combine(&[front_key, key::hash_debug(&p.strategy)]);
-    let t = Instant::now();
-    let (dft, dft_hit) = cache.dft.get_or_try(dft_key, || {
-        let mut fe = (*fe).clone();
-        let plans = flow.apply_dft(&mut fe);
-        Ok::<_, PointError>(DftOutput {
-            datapath: fe.datapath,
-            plans,
-        })
-    })?;
-    stage_event(p, "dft", Some(dft_hit), t.elapsed());
-    let nl_key = key::combine(&[
-        key::hash_debug(&dft.datapath),
-        u64::from(p.width),
-        u64::from(spec.reset_controller),
-    ]);
-    let t = Instant::now();
-    let (expanded, nl_hit) = cache.netlist.get_or_try(nl_key, || {
-        flow.expand_netlist(&dft.datapath).map_err(PointError::from)
-    })?;
-    stage_event(p, "netlist", Some(nl_hit), t.elapsed());
-    let (coverage_percent, timed_out) = if p.patterns > 0 {
-        let t = Instant::now();
-        let grading_key = key::combine(&[nl_key, max_patterns as u64]);
-        let (run, grading_hit) = cache.grading.get_or_try(grading_key, || {
-            let faults = collapsed_faults(&expanded.netlist);
-            let mut rng = StdRng::seed_from_u64(SWEEP_SEED);
-            let (run, gstats) = random_pattern_run_opts(
-                &expanded.netlist,
-                &faults,
-                max_patterns,
-                &mut rng,
-                &grade_opts(deadline),
-            );
-            grading_event(p, &gstats);
-            Ok::<_, PointError>(run)
-        })?;
-        stage_event(p, "grading", Some(grading_hit), t.elapsed());
-        (
-            Some(coverage_at(&run.curve, p.patterns)),
-            grading_truncated(&run, p.patterns),
-        )
-    } else {
-        (None, false)
-    };
-    let report = flow.build_report(&dft.datapath, &expanded, dft.plans.bist.as_ref(), &facts);
-    let design_out = keep.then(|| SynthesizedDesign {
-        cdfg: design.clone(),
-        schedule: fe.schedule.clone(),
-        binding: fe.binding.clone(),
-        datapath: dft.datapath.clone(),
-        expanded: (*expanded).clone(),
-        report: report.clone(),
-        bist_plan: dft.plans.bist.clone(),
-        kcontrol_plan: dft.plans.kcontrol.clone(),
-    });
-    Ok((
-        PointMetrics {
-            report,
-            coverage_percent,
-            timed_out,
-        },
-        design_out,
-    ))
-}
-
-/// The uncached pipeline — the same stages, computed from scratch.
-/// Grading runs at the point's own budget; [`coverage_at`] reads both
-/// this curve and the cached deep curve identically (prefix property).
-fn eval_direct(
-    spec: &SweepSpec,
-    p: Point,
-    keep: bool,
-    deadline: Deadline,
-) -> Result<PointOutput, PointError> {
-    let design = &spec.designs[p.design];
-    let flow = base_flow(spec, design, p);
-    let t = Instant::now();
-    let mut fe = flow.front_end().map_err(PointError::from)?;
-    stage_event(p, "front", None, t.elapsed());
-    // Compute order matches the cached path's artifacts; stage events
-    // are emitted in the same fixed front → facts → dft → netlist →
-    // grading order so canonical journals agree across cache settings.
-    let t_dft = Instant::now();
-    let plans = flow.apply_dft(&mut fe);
-    let dft_wall = t_dft.elapsed();
-    let t = Instant::now();
-    let facts = SynthesisFlow::sgraph_facts(&fe.datapath);
-    stage_event(p, "facts", None, t.elapsed());
-    stage_event(p, "dft", None, dft_wall);
-    let t = Instant::now();
-    let expanded = flow
-        .expand_netlist(&fe.datapath)
-        .map_err(PointError::from)?;
-    stage_event(p, "netlist", None, t.elapsed());
-    let (coverage_percent, timed_out) = if p.patterns > 0 {
-        let t = Instant::now();
-        let faults = collapsed_faults(&expanded.netlist);
-        let mut rng = StdRng::seed_from_u64(SWEEP_SEED);
-        let (run, gstats) = random_pattern_run_opts(
-            &expanded.netlist,
-            &faults,
-            p.patterns,
-            &mut rng,
-            &grade_opts(deadline),
-        );
-        grading_event(p, &gstats);
-        stage_event(p, "grading", None, t.elapsed());
-        (
-            Some(coverage_at(&run.curve, p.patterns)),
-            grading_truncated(&run, p.patterns),
-        )
-    } else {
-        (None, false)
-    };
-    let report = flow.build_report(&fe.datapath, &expanded, plans.bist.as_ref(), &facts);
-    let design_out = keep.then(|| SynthesizedDesign {
-        cdfg: design.clone(),
-        schedule: fe.schedule.clone(),
-        binding: fe.binding.clone(),
-        datapath: fe.datapath.clone(),
-        expanded: expanded.clone(),
-        report: report.clone(),
-        bist_plan: plans.bist.clone(),
-        kcontrol_plan: plans.kcontrol.clone(),
-    });
-    Ok((
-        PointMetrics {
-            report,
-            coverage_percent,
-            timed_out,
-        },
-        design_out,
-    ))
 }
 
 #[cfg(test)]
@@ -1038,6 +1009,28 @@ mod tests {
         // Dropping the request drops the payloads.
         let without = run_sweep(&spec, &SweepOptions::default());
         assert!(without.designs.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn kept_designs_agree_across_cache_settings() {
+        let mut spec = tiny_spec();
+        spec.strategies.push(DftStrategy::BehavioralPartialScan);
+        let keep = |cache: bool| {
+            run_sweep(
+                &spec,
+                &SweepOptions {
+                    cache,
+                    keep_designs: true,
+                    ..SweepOptions::default()
+                },
+            )
+            .designs
+        };
+        let cached = keep(true);
+        let uncached = keep(false);
+        assert_eq!(cached.len(), spec.points().len());
+        assert!(cached.iter().all(Option::is_some));
+        assert_eq!(format!("{cached:?}"), format!("{uncached:?}"));
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //! in-process pool uses and stream each completed point back in
 //! checkpoint-record form (canonical JSON verbatim, keyed by content
 //! key). The coordinator validates the key against its own
-//! [`point_key`] table and splices the embedded bytes into the report
-//! unchanged — so `--workers N` output is byte-identical to a serial
-//! uncached run for the same reason checkpoint resume is.
+//! [`PointRunner::key`] table and splices the embedded bytes into the
+//! report unchanged — so `--workers N` output is byte-identical to a
+//! serial uncached run for the same reason checkpoint resume is.
 //!
 //! # Failure handling
 //!
@@ -46,15 +46,14 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::checkpoint::{self, Checkpoint, RestoredSet};
-use crate::engine::{point_key, PointRunner, ProgressMeter, Recovery, SweepOptions, SweepOutcome};
+use crate::engine::{PointRunner, ProgressMeter, Recovery, SweepOptions, SweepOutcome};
 use crate::error::PointError;
-use crate::key;
 use crate::proto::{self, FromWorker, ToWorker};
 use crate::report::{PointRecord, SweepReport};
 use crate::spec::SweepSpec;
@@ -769,13 +768,10 @@ fn coordinate(
         LaneSource::Fixed { .. } => None,
         LaneSource::Listen { hello_timeout, .. } => Some(*hello_timeout),
     };
-    let points = spec.points();
-    let n = points.len();
-    let design_keys: Vec<u64> = spec.designs.iter().map(key::hash_debug).collect();
-    let point_keys: Vec<u64> = points
-        .iter()
-        .map(|p| point_key(spec, &design_keys, *p))
-        .collect();
+    // The same runner that keys checkpoint lines and wire frames also
+    // evaluates whatever no live worker is left to take.
+    let runner = PointRunner::new(spec, opts, recovery.fail_plan.clone());
+    let n = runner.len();
     let restored_set = match (&recovery.checkpoint, recovery.resume) {
         (Some(path), true) => Some(RestoredSet::load(path)?),
         (None, true) => {
@@ -799,7 +795,7 @@ fn coordinate(
 
     let mut results: Vec<Option<PointRecord>> = (0..n).map(|_| None).collect();
     let mut restored_count = 0usize;
-    let mut checkpoint_errors = 0usize;
+    let checkpoint_errors = AtomicUsize::new(0);
     // Dead-lane lease re-issues (transport recovery) — reported
     // separately from `fleet_retries` (per-point transient retries the
     // workers themselves performed, summed from their `done` frames).
@@ -808,20 +804,17 @@ fn coordinate(
     let mut fleet_cache = crate::cache::CacheStats::default();
     let mut lanes_seen = expected_workers;
     if let Some(set) = &restored_set {
-        for (i, p) in points.iter().enumerate() {
+        for (i, slot) in results.iter_mut().enumerate() {
             let hit = set
-                .lookup(point_keys[i], p.index)
+                .lookup(runner.key(i), i)
                 .and_then(checkpoint::record_from_canonical);
             if let Some(record) = hit {
-                hlstb_trace::events::emit("point.scheduled", Some(p.index as u64), |e| {
-                    e.str("design", spec.designs[p.design].name())
-                        .str("strategy", &crate::spec::strategy_name(p.strategy));
-                });
-                hlstb_trace::events::emit("point.restored", Some(p.index as u64), |_| {});
+                runner.scheduled(i);
+                hlstb_trace::events::emit("point.restored", Some(i as u64), |_| {});
                 if let Some(m) = &meter {
                     m.tick(&record, 0, reissued, None);
                 }
-                results[i] = Some(record);
+                *slot = Some(record);
                 restored_count += 1;
             }
         }
@@ -1057,7 +1050,7 @@ fn coordinate(
                     index,
                     canonical,
                 }) => {
-                    if index >= n || key != point_keys[index] {
+                    if index >= n || key != runner.key(index) {
                         fail_lane(
                             &mut lanes,
                             w,
@@ -1072,10 +1065,7 @@ fn coordinate(
                         lanes[w].outstanding.retain(|&x| x != index);
                     } else if let Some(record) = checkpoint::record_from_canonical(&canonical) {
                         if let Some(ck) = &writer {
-                            if let Err(e) = ck.record(key, index, &canonical) {
-                                checkpoint_errors += 1;
-                                ck.degrade(&e.to_string());
-                            }
+                            runner.checkpoint(ck, index, &canonical, &checkpoint_errors);
                         }
                         if let Some(m) = &meter {
                             let retries = lanes.iter().map(|l| l.stats.retries).sum();
@@ -1209,18 +1199,14 @@ fn coordinate(
         // still completes (and stays byte-identical — same evaluator).
         if remaining > 0 {
             eprintln!("sweep: no live workers left; evaluating {remaining} points inline");
-            let runner = PointRunner::new(spec, opts, recovery.fail_plan.clone());
-            for i in 0..n {
-                if results[i].is_some() {
+            for (i, slot) in results.iter_mut().enumerate() {
+                if slot.is_some() {
                     continue;
                 }
                 runner.scheduled(i);
                 let (record, _) = runner.eval(i);
                 if let Some(ck) = &writer {
-                    if let Err(e) = ck.record(point_keys[i], i, &record.canonical_point_json()) {
-                        checkpoint_errors += 1;
-                        ck.degrade(&e.to_string());
-                    }
+                    runner.checkpoint(ck, i, &record.canonical_point_json(), &checkpoint_errors);
                 }
                 if let Some(m) = &meter {
                     m.tick(
@@ -1230,7 +1216,7 @@ fn coordinate(
                         runner.cache(),
                     );
                 }
-                results[i] = Some(record);
+                *slot = Some(record);
             }
             fleet_retries += runner.retries();
             if let Some(c) = runner.cache() {
@@ -1275,7 +1261,7 @@ fn coordinate(
             checkpoint_degraded: writer.as_ref().is_some_and(Checkpoint::degraded),
         },
         designs: (0..n).map(|_| None).collect(),
-        checkpoint_write_errors: checkpoint_errors,
+        checkpoint_write_errors: checkpoint_errors.into_inner(),
     })
 }
 

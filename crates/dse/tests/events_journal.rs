@@ -74,9 +74,10 @@ fn canonical_journal_is_identical_across_threads_and_cache() {
     };
     assert_eq!(count("point.scheduled"), n);
     assert_eq!(count("point.completed"), n);
-    // Four synthesis stages per point, plus grading for graded points.
+    // Four synthesis stages and the report per point, plus grading
+    // for graded points.
     let graded = spec.points().iter().filter(|p| p.patterns > 0).count();
-    assert_eq!(count("point.stage"), 4 * n + graded);
+    assert_eq!(count("point.stage"), 5 * n + graded);
     assert_eq!(count("sweep.begin"), 1);
     assert_eq!(count("sweep.end"), 1);
     // Volatile records (spans, timings, cache outcomes) exist in the
@@ -84,6 +85,45 @@ fn canonical_journal_is_identical_across_threads_and_cache() {
     assert!(serial.records.iter().any(|r| !r.stable));
     assert!(!canon_serial.contains("wall_us"), "{canon_serial}");
     assert!(!canon_serial.contains("\"cache\""), "{canon_serial}");
+}
+
+/// The `cache` label of a stage record: `None` when absent.
+fn stage_cache_label(r: &events::Record) -> Option<&str> {
+    r.fields
+        .iter()
+        .find(|f| f.name == "cache")
+        .map(|f| match &f.value {
+            events::FieldValue::Str(s) => s.as_str(),
+            other => panic!("cache label is not a string: {other:?}"),
+        })
+}
+
+/// Both cache settings run one pipeline; only the memo step differs.
+/// Every stage of an uncached sweep is a pass-through labelled `off`,
+/// and no stage of a cached sweep is (the report stage, which has no
+/// store, carries no label at all).
+#[test]
+fn stage_records_label_cache_off_exactly_when_uncached() {
+    let _x = exclusive();
+    let spec = spec();
+    let recovery = Recovery::default();
+    for (threads, cache) in [(1, false), (4, false), (1, true), (4, true)] {
+        let journal = journaled_sweep(&spec, threads, cache, &recovery);
+        let stages: Vec<&events::Record> = journal
+            .records
+            .iter()
+            .filter(|r| r.kind == "point.stage")
+            .collect();
+        assert!(!stages.is_empty());
+        for r in stages {
+            let label = stage_cache_label(r);
+            if cache {
+                assert_ne!(label, Some("off"), "threads {threads}: {r:?}");
+            } else {
+                assert_eq!(label, Some("off"), "threads {threads}: {r:?}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -231,6 +231,40 @@ fn workers_resume_from_a_checkpoint_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `io:` fail-point fails the coordinator's checkpoint append
+/// exactly as it fails the in-process pool's: one write error, a
+/// degraded checkpoint, and a report byte-identical to an uninjected
+/// run.
+#[test]
+fn io_fail_point_degrades_the_coordinators_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("hlstb-workers-io-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("io.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let mut spec = SweepSpec::new(vec![benchmarks::figure1(), benchmarks::tseng()]);
+    spec.strategies = vec![
+        DftStrategy::None,
+        DftStrategy::FullScan,
+        DftStrategy::BistShared,
+    ];
+    spec.patterns = vec![64];
+    let clean = serial_canonical(&spec, &Recovery::default());
+    let mut plan = FailPlan::default();
+    plan.insert(1, FailMode::Io);
+    let recovery = Recovery {
+        fail_plan: Some(plan),
+        checkpoint: Some(path.clone()),
+        ..Recovery::default()
+    };
+    let mut spawn = thread_spawner(None);
+    let out = run_sweep_workers(&spec, &SweepOptions::default(), &recovery, 2, &mut spawn).unwrap();
+    assert!(out.report.errors().is_empty());
+    assert!(out.report.checkpoint_degraded);
+    assert_eq!(out.checkpoint_write_errors, 1);
+    assert_eq!(out.report.canonical_json(), clean);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Regression: resuming a checkpoint that restores every point, with
 /// the progress meter on, exercises the ETA arithmetic at `done ==
 /// total` (and past it, via the meter's own saturation) without

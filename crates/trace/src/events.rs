@@ -498,14 +498,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    /// The journal is process-global; tests serialize on this lock.
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
-
-    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::test_exclusive as exclusive;
 
     #[test]
     fn disabled_journal_records_nothing_and_skips_the_closure() {

@@ -526,17 +526,20 @@ impl Snapshot {
     }
 }
 
+/// The span collector and the event journal are both process-global,
+/// and the journal's tests toggle and clear the collector too, so every
+/// test in the crate that touches either serializes on this one lock
+/// (`cargo test` runs the modules' tests on parallel threads).
+#[cfg(test)]
+pub(crate) fn test_exclusive() -> std::sync::MutexGuard<'static, ()> {
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The collector is process-global; tests that need it serialize on
-    /// this lock so `cargo test`'s threading cannot interleave them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::test_exclusive as exclusive;
 
     #[test]
     fn disabled_collector_records_nothing() {

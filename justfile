@@ -108,13 +108,20 @@ sweep-workers-smoke: build
         >workers_killed.json 2>workers_killed_summary.txt
     cmp workers_serial.json workers_killed.json
     grep "re-issuing" workers_killed_summary.txt
+    HLSTB_FAIL_POINT="io:1" ./target/release/hlstb sweep \
+        --designs figure1,tseng --strategies none,full-scan,bist-shared \
+        --grade 64 --workers 2 --checkpoint workers_io_ckpt.jsonl --json \
+        >workers_io.json 2>workers_io_summary.txt
+    cmp workers_serial.json workers_io.json
+    grep "continuing without checkpointing" workers_io_summary.txt
     ./target/release/hlstb sweep --designs figure1,tseng \
         --grade 128,512,1024 --threads 8 --cache \
         >/dev/null 2>coalesce_summary.txt
     grep "coalesced:" coalesce_summary.txt
     ! grep -q "coalesced: 0 (" coalesce_summary.txt
     rm -f workers_serial.json workers_sharded.json workers_summary.txt \
-        workers_killed.json workers_killed_summary.txt coalesce_summary.txt
+        workers_killed.json workers_killed_summary.txt coalesce_summary.txt \
+        workers_io.json workers_io_summary.txt workers_io_ckpt.jsonl
 
 # TCP transport smoke: serve the tiny sweep over `--listen` to four
 # dialed-in worker processes (byte-identical to serial uncached), then
