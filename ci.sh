@@ -37,15 +37,16 @@ rm -f sweep_serial.json sweep_parallel.json sweep_summary.txt
 # Structural smoke: an ungraded sweep over every scheduler, register
 # policy and strategy (the axes whose front ends and DFT stages run
 # MFVS) must be byte-identical between the serial uncached and the
-# threaded cached paths.
+# threaded cached paths, at width 8 as well as 4 so the wider mux trees
+# and multipliers of the expansion are compared too.
 ./target/release/hlstb sweep --designs figure1,diffeq \
     --schedulers list,io-aware,asap,force-directed=1 \
     --policies left-edge,dsatur,io-max,boundary,loop-avoiding,avra \
-    --threads 1 --no-cache --json >structural_serial.json
+    --widths 4,8 --threads 1 --no-cache --json >structural_serial.json
 ./target/release/hlstb sweep --designs figure1,diffeq \
     --schedulers list,io-aware,asap,force-directed=1 \
     --policies left-edge,dsatur,io-max,boundary,loop-avoiding,avra \
-    --threads 2 --cache --json >structural_parallel.json
+    --widths 4,8 --threads 2 --cache --json >structural_parallel.json
 cmp structural_serial.json structural_parallel.json
 rm -f structural_serial.json structural_parallel.json
 

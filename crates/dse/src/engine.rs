@@ -230,8 +230,9 @@ pub struct SweepOutcome {
     /// The deterministic per-point report.
     pub report: SweepReport,
     /// One entry per point: `Some` when the point succeeded and
-    /// `keep_designs` was set, `None` otherwise.
-    pub designs: Vec<Option<SynthesizedDesign>>,
+    /// `keep_designs` was set, `None` otherwise. Boxed, so a sweep that
+    /// keeps no designs spends a pointer per point here, not a design.
+    pub designs: Vec<Option<Box<SynthesizedDesign>>>,
     /// Checkpoint lines that failed to write (the sweep itself keeps
     /// going; nonzero means the checkpoint is incomplete).
     pub checkpoint_write_errors: usize,
@@ -460,7 +461,7 @@ pub fn run_sweep_with(
         Some(path) => Some(Checkpoint::open_append(path)?),
         None => None,
     };
-    type Slot = Mutex<Option<(PointRecord, Option<SynthesizedDesign>)>>;
+    type Slot = Mutex<Option<(PointRecord, Option<Box<SynthesizedDesign>>)>>;
     let slots: Vec<Slot> = points.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let restored_count = AtomicUsize::new(0);
@@ -506,7 +507,7 @@ pub fn run_sweep_with(
             if let Some(ck) = &writer {
                 runner.checkpoint(ck, i, &record.canonical_point_json(), &checkpoint_errors);
             }
-            *slots[i].lock().expect("slot lock") = Some((record, design));
+            *slots[i].lock().expect("slot lock") = Some((record, design.map(Box::new)));
         }
     };
     let threads = opts.threads.max(1).min(points.len().max(1));

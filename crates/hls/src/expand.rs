@@ -11,6 +11,7 @@
 //! used by the integration tests to prove the gate level computes the
 //! same function as the behavioral reference interpreter.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -132,49 +133,109 @@ impl ExpandedDatapath {
 /// its boolean value per control step. The expansion and the controller
 /// DFT analyses share this enumeration.
 pub fn control_signal_table(dp: &Datapath) -> Vec<(String, Vec<bool>)> {
-    let period = dp.period() as usize;
-    let mut table = Vec::new();
-    // Register load enables.
-    for r in 0..dp.registers().len() {
-        let values: Vec<bool> = (0..period).map(|t| dp.control()[t].reg_enable[r]).collect();
-        table.push((format!("en_r{r}"), values));
-    }
-    // Register source selects.
-    for (r, sources) in dp.reg_sources().iter().enumerate() {
-        for b in 0..select_bits(sources.len()) {
-            let values: Vec<bool> = (0..period)
-                .map(|t| dp.control()[t].reg_select[r] >> b & 1 == 1)
+    let signals = ControlSignals::new(dp);
+    (0..signals.len())
+        .map(|i| {
+            let values = (0..dp.period() as usize)
+                .map(|t| signals.value(dp, i, t))
                 .collect();
-            table.push((format!("sel_r{r}_b{b}"), values));
+            (signals.name(i), values)
+        })
+        .collect()
+}
+
+/// One control signal of a data path.
+#[derive(Debug, Clone, Copy)]
+enum ControlSignal {
+    /// `en_r{r}`: register `r` loads.
+    RegEnable(usize),
+    /// `sel_r{r}_b{b}`: bit `b` of register `r`'s source select.
+    RegSelect(usize, usize),
+    /// `sel_f{f}_p{p}_b{b}`: bit `b` of unit `f`'s port `p` select.
+    PortSelect(usize, usize, usize),
+    /// `op_f{f}_b{b}`: bit `b` of unit `f`'s operation select.
+    FuOp(usize, usize),
+}
+
+/// The control signals of a data path in [`control_signal_table`]
+/// order, with the index of each select bus's bit 0, so [`expand`]
+/// finds a signal by position instead of by name.
+struct ControlSignals {
+    signals: Vec<ControlSignal>,
+    /// Register `r`'s select bits start at `reg_select[r]`.
+    reg_select: Vec<usize>,
+    /// Unit `f`'s port `p` select bits start at `port_select[f][p]`.
+    port_select: Vec<Vec<usize>>,
+    /// Unit `f`'s operation select bits start at `fu_op[f]`.
+    fu_op: Vec<usize>,
+    /// [`fu_kinds`] of every unit, the operation-select encoding.
+    fu_kinds: Vec<Vec<OpKind>>,
+}
+
+impl ControlSignals {
+    fn new(dp: &Datapath) -> ControlSignals {
+        let mut signals: Vec<ControlSignal> = (0..dp.registers().len())
+            .map(ControlSignal::RegEnable)
+            .collect();
+        let mut reg_select = Vec::with_capacity(dp.reg_sources().len());
+        for (r, sources) in dp.reg_sources().iter().enumerate() {
+            reg_select.push(signals.len());
+            signals.extend((0..select_bits(sources.len())).map(|b| ControlSignal::RegSelect(r, b)));
+        }
+        let mut port_select = Vec::with_capacity(dp.port_sources().len());
+        for (f, ports) in dp.port_sources().iter().enumerate() {
+            let mut starts = Vec::with_capacity(ports.len());
+            for (p, sources) in ports.iter().enumerate() {
+                starts.push(signals.len());
+                signals.extend(
+                    (0..select_bits(sources.len())).map(|b| ControlSignal::PortSelect(f, p, b)),
+                );
+            }
+            port_select.push(starts);
+        }
+        let fu_kinds: Vec<Vec<OpKind>> = (0..dp.fus().len()).map(|f| fu_kinds(dp, f)).collect();
+        let mut fu_op = Vec::with_capacity(fu_kinds.len());
+        for (f, kinds) in fu_kinds.iter().enumerate() {
+            fu_op.push(signals.len());
+            signals.extend((0..select_bits(kinds.len())).map(|b| ControlSignal::FuOp(f, b)));
+        }
+        ControlSignals {
+            signals,
+            reg_select,
+            port_select,
+            fu_op,
+            fu_kinds,
         }
     }
-    // Port source selects.
-    for (f, ports) in dp.port_sources().iter().enumerate() {
-        for (p, sources) in ports.iter().enumerate() {
-            for b in 0..select_bits(sources.len()) {
-                let values: Vec<bool> = (0..period)
-                    .map(|t| dp.control()[t].port_select[f][p] >> b & 1 == 1)
-                    .collect();
-                table.push((format!("sel_f{f}_p{p}_b{b}"), values));
+
+    fn len(&self) -> usize {
+        self.signals.len()
+    }
+
+    fn name(&self, i: usize) -> String {
+        match self.signals[i] {
+            ControlSignal::RegEnable(r) => format!("en_r{r}"),
+            ControlSignal::RegSelect(r, b) => format!("sel_r{r}_b{b}"),
+            ControlSignal::PortSelect(f, p, b) => format!("sel_f{f}_p{p}_b{b}"),
+            ControlSignal::FuOp(f, b) => format!("op_f{f}_b{b}"),
+        }
+    }
+
+    /// Signal `i`'s value in control step `t`.
+    fn value(&self, dp: &Datapath, i: usize, t: usize) -> bool {
+        let step = &dp.control()[t];
+        match self.signals[i] {
+            ControlSignal::RegEnable(r) => step.reg_enable[r],
+            ControlSignal::RegSelect(r, b) => step.reg_select[r] >> b & 1 == 1,
+            ControlSignal::PortSelect(f, p, b) => step.port_select[f][p] >> b & 1 == 1,
+            ControlSignal::FuOp(f, b) => {
+                let code = step.fu_op[f]
+                    .and_then(|k| self.fu_kinds[f].iter().position(|&x| x == k))
+                    .unwrap_or(0);
+                code >> b & 1 == 1
             }
         }
     }
-    // FU operation selects.
-    for (f, _fu) in dp.fus().iter().enumerate() {
-        let kinds = fu_kinds(dp, f);
-        for b in 0..select_bits(kinds.len()) {
-            let values: Vec<bool> = (0..period)
-                .map(|t| {
-                    let code = dp.control()[t].fu_op[f]
-                        .and_then(|k| kinds.iter().position(|&x| x == k))
-                        .unwrap_or(0);
-                    code >> b & 1 == 1
-                })
-                .collect();
-            table.push((format!("op_f{f}_b{b}"), values));
-        }
-    }
-    table
 }
 
 /// Distinct operation kinds a unit executes, in stable order.
@@ -222,26 +283,20 @@ pub fn expand(dp: &Datapath, options: &ExpandOptions) -> Result<ExpandedDatapath
     for (name, _) in dp.pi_regs() {
         pi_ports.push((name.clone(), b.inputs(name, w)));
     }
-    let port_of = |pi_ports: &[(String, Vec<NetId>)], name: &str| -> Vec<NetId> {
-        pi_ports
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, bus)| bus.clone())
-            .expect("external source has a port")
-    };
 
-    // 3. Control signals.
-    let table = control_signal_table(dp);
-    let mut signals: HashMap<String, NetId> = HashMap::new();
+    // 3. Control signals, one net per signal in table order.
+    let table = ControlSignals::new(dp);
+    let mut signals: Vec<NetId> = Vec::with_capacity(table.len());
     let mut control_inputs = Vec::new();
     let mut state_flops = Vec::new();
     let controller_start = b.num_gates() as u32;
     match options.controller {
         ControllerMode::External => {
-            for (name, _) in &table {
+            for i in 0..table.len() {
+                let name = table.name(i);
                 let net = b.input(format!("ctl_{name}"));
-                signals.insert(name.clone(), net);
-                control_inputs.push((name.clone(), net));
+                signals.push(net);
+                control_inputs.push((name, net));
             }
         }
         ControllerMode::Expanded => {
@@ -250,7 +305,6 @@ pub fn expand(dp: &Datapath, options: &ExpandOptions) -> Result<ExpandedDatapath
             let state: Vec<NetId> = (0..sbits)
                 .map(|_| b.dff_uninit(options.scan_controller))
                 .collect();
-            state_flops = state.clone();
             // next = (state == period-1) ? 0 : state + 1
             let one_bus = b.constant(1, sbits as u32);
             let (inc, _) = b.ripple_add(&state, &one_bus);
@@ -273,98 +327,84 @@ pub fn expand(dp: &Datapath, options: &ExpandOptions) -> Result<ExpandedDatapath
                     b.eq_bus(&state, &c)
                 })
                 .collect();
-            for (name, values) in &table {
+            for i in 0..table.len() {
                 let mut net = None;
-                for (s, &v) in values.iter().enumerate() {
-                    if v {
-                        let oh = onehot[s];
+                for (s, &oh) in onehot.iter().enumerate() {
+                    if table.value(dp, i, s) {
                         net = Some(match net {
                             None => oh,
                             Some(acc) => b.or2(acc, oh),
                         });
                     }
                 }
-                let net = net.unwrap_or_else(|| b.zero());
-                signals.insert(name.clone(), net);
+                signals.push(net.unwrap_or_else(|| b.zero()));
             }
+            state_flops = state;
         }
     }
     let controller_nets = (controller_start, b.num_gates() as u32);
-    let sig = |signals: &HashMap<String, NetId>, name: String| -> NetId {
-        *signals.get(&name).expect("signal exists")
-    };
+    // The select bits of an `n`-way choice starting at table index
+    // `start`.
+    let select = |start: usize, n: usize| &signals[start..start + select_bits(n)];
 
     // 4. Functional-unit results.
     let mut fu_results: Vec<Vec<NetId>> = Vec::new();
     for (f, fu) in dp.fus().iter().enumerate() {
         // Port value buses.
-        let mut ports: Vec<Vec<NetId>> = Vec::new();
+        let mut ports: Vec<Cow<'_, [NetId]>> = Vec::new();
         for (p, sources) in dp.port_sources()[f].iter().enumerate() {
-            let buses: Vec<Vec<NetId>> = sources
+            let buses: Vec<Cow<'_, [NetId]>> = sources
                 .iter()
                 .map(|s| match s {
-                    PortSource::Register(r) => reg_flops[*r].clone(),
-                    PortSource::Constant(c) => b.constant(*c, w),
+                    PortSource::Register(r) => Cow::Borrowed(reg_flops[*r].as_slice()),
+                    PortSource::Constant(c) => Cow::Owned(b.constant(*c, w)),
                 })
                 .collect();
             let bus = match buses.len() {
-                0 => b.constant(0, w),
-                1 => buses[0].clone(),
-                n => {
-                    let bits: Vec<NetId> = (0..select_bits(n))
-                        .map(|bit| sig(&signals, format!("sel_f{f}_p{p}_b{bit}")))
-                        .collect();
-                    b.mux_n(&bits, &buses)
-                }
+                0 => Cow::Owned(b.constant(0, w)),
+                1 => buses.into_iter().next().expect("one source"),
+                n => Cow::Owned(b.mux_n(select(table.port_select[f][p], n), &buses)),
             };
             ports.push(bus);
         }
         while ports.len() < fu.arity.max(1) {
-            ports.push(b.constant(0, w));
+            ports.push(Cow::Owned(b.constant(0, w)));
         }
         // Per-kind results.
-        let kinds = fu_kinds(dp, f);
-        let mut results: Vec<Vec<NetId>> = Vec::new();
-        for &k in &kinds {
-            let bus = build_kind(&mut b, k, &ports, w);
-            results.push(bus);
-        }
+        let mut results: Vec<Vec<NetId>> = table.fu_kinds[f]
+            .iter()
+            .map(|&k| build_kind(&mut b, k, &ports, w))
+            .collect();
         let result = match results.len() {
             0 => b.constant(0, w),
-            1 => results[0].clone(),
-            n => {
-                let bits: Vec<NetId> = (0..select_bits(n))
-                    .map(|bit| sig(&signals, format!("op_f{f}_b{bit}")))
-                    .collect();
-                b.mux_n(&bits, &results)
-            }
+            1 => results.swap_remove(0),
+            n => b.mux_n(select(table.fu_op[f], n), &results),
         };
         fu_results.push(result);
     }
 
     // 5. Register data inputs.
     for (r, sources) in dp.reg_sources().iter().enumerate() {
-        let buses: Vec<Vec<NetId>> = sources
+        let buses: Vec<&[NetId]> = sources
             .iter()
             .map(|s| match s {
-                RegSource::Fu(f) => fu_results[*f].clone(),
-                RegSource::External(name) => port_of(&pi_ports, name),
-                RegSource::Register(src) => reg_flops[*src].clone(),
+                RegSource::Fu(f) => fu_results[*f].as_slice(),
+                RegSource::External(name) => pi_ports
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map(|(_, bus)| bus.as_slice())
+                    .expect("external source has a port"),
+                RegSource::Register(src) => reg_flops[*src].as_slice(),
             })
             .collect();
         let d_bus = match buses.len() {
-            0 => reg_flops[r].clone(), // never written: recirculate
-            1 => buses[0].clone(),
-            n => {
-                let bits: Vec<NetId> = (0..select_bits(n))
-                    .map(|bit| sig(&signals, format!("sel_r{r}_b{bit}")))
-                    .collect();
-                b.mux_n(&bits, &buses)
-            }
+            0 => Cow::Borrowed(reg_flops[r].as_slice()), // never written: recirculate
+            1 => Cow::Borrowed(buses[0]),
+            n => Cow::Owned(b.mux_n(select(table.reg_select[r], n), &buses)),
         };
-        let en = sig(&signals, format!("en_r{r}"));
-        for (bit, &ff) in reg_flops[r].iter().enumerate() {
-            let d = b.mux2(en, d_bus[bit], ff);
+        let en = signals[r];
+        for (&d, &ff) in d_bus.iter().zip(&reg_flops[r]) {
+            let d = b.mux2(en, d, ff);
             b.set_dff_input(ff, d);
         }
     }
@@ -389,7 +429,12 @@ pub fn expand(dp: &Datapath, options: &ExpandOptions) -> Result<ExpandedDatapath
     })
 }
 
-fn build_kind(b: &mut NetlistBuilder, kind: OpKind, ports: &[Vec<NetId>], w: u32) -> Vec<NetId> {
+fn build_kind(
+    b: &mut NetlistBuilder,
+    kind: OpKind,
+    ports: &[Cow<'_, [NetId]>],
+    w: u32,
+) -> Vec<NetId> {
     let p0 = &ports[0];
     let pad = |b: &mut NetlistBuilder, bit: NetId| -> Vec<NetId> {
         let mut v = vec![bit];
@@ -404,7 +449,7 @@ fn build_kind(b: &mut NetlistBuilder, kind: OpKind, ports: &[Vec<NetId>], w: u32
         OpKind::And => b.bitwise(GateKind::And, p0, &ports[1]),
         OpKind::Or => b.bitwise(GateKind::Or, p0, &ports[1]),
         OpKind::Xor => b.bitwise(GateKind::Xor, p0, &ports[1]),
-        OpKind::Not => p0.clone().iter().map(|&x| b.not(x)).collect(),
+        OpKind::Not => p0.iter().map(|&x| b.not(x)).collect(),
         OpKind::Shl | OpKind::Shr => barrel(b, p0, &ports[1], kind == OpKind::Shl),
         OpKind::Lt => {
             let bit = b.lt_bus(p0, &ports[1]);
@@ -418,7 +463,7 @@ fn build_kind(b: &mut NetlistBuilder, kind: OpKind, ports: &[Vec<NetId>], w: u32
             let sel = or_reduce(b, p0);
             b.mux_bus(sel, &ports[1], &ports[2])
         }
-        OpKind::Pass => p0.clone(),
+        OpKind::Pass => p0.to_vec(),
     }
 }
 

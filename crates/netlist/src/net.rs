@@ -7,7 +7,8 @@
 //! and its data input as a pseudo primary output, which is the standard
 //! model for coverage studies.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -117,13 +118,89 @@ impl GateKind {
     }
 }
 
+/// A gate's operand nets, stored inline: three slots plus the operand
+/// count, which is always the kind's arity. Slots past the count hold
+/// the gate's own id, so every slot is a valid net index. Derefs to the
+/// used operands as `&[NetId]`; compares, hashes and prints like that
+/// slice.
+#[derive(Clone, Copy)]
+pub struct Operands {
+    slots: [NetId; 3],
+    len: u8,
+}
+
+impl Operands {
+    /// The operands `inputs` of the gate driving `own`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than three operands.
+    fn new(own: NetId, inputs: &[NetId]) -> Operands {
+        assert!(inputs.len() <= 3, "a gate has at most three operands");
+        let mut slots = [own; 3];
+        slots[..inputs.len()].copy_from_slice(inputs);
+        Operands {
+            slots,
+            len: inputs.len() as u8,
+        }
+    }
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [NetId];
+
+    #[inline]
+    fn deref(&self) -> &[NetId] {
+        &self.slots[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a Operands {
+    type Item = &'a NetId;
+    type IntoIter = std::slice::Iter<'a, NetId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Operands {
+    fn eq(&self, other: &Operands) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Operands {}
+
+impl std::hash::Hash for Operands {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Operands {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A gate instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gate {
     /// The kind.
     pub kind: GateKind,
     /// Operand nets; length is `kind.arity()`.
-    pub inputs: Vec<NetId>,
+    pub inputs: Operands,
+}
+
+/// Whether a gate of this kind starts a combinational path: primary
+/// inputs, constants and flip-flops are never scheduled.
+#[inline]
+fn is_source(kind: GateKind) -> bool {
+    matches!(
+        kind,
+        GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
+    )
 }
 
 /// Errors from netlist construction.
@@ -176,18 +253,17 @@ impl fmt::Display for NetlistError {
 
 impl Error for NetlistError {}
 
-/// Index-based structure-of-arrays view of a netlist, built once by
+/// The flat gate store of a netlist and its levelization, built once by
 /// [`NetlistBuilder::finish`] and shared read-only by the evaluators.
 ///
-/// The per-gate [`Gate`] records are the convenient API view; the hot
-/// simulation loops instead walk these flat `u32` arrays: gate kinds,
-/// fixed three-slot operand ids, a levelized topological order with
-/// contiguous per-level ranges, and a CSR fanout table. Unused operand
-/// slots hold the gate's own id so every slot is always a valid index.
+/// Each [`Gate`] is stored once, with its operands inline; the hot
+/// simulation loops read kinds and fixed three-slot operand ids straight
+/// from that store, plus a levelized topological order with contiguous
+/// per-level ranges and a CSR fanout table. Unused operand slots hold
+/// the gate's own id so every slot is always a valid index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoaIr {
-    kinds: Vec<GateKind>,
-    ops: Vec<[u32; 3]>,
+    gates: Vec<Gate>,
     level_of: Vec<u32>,
     level_order: Vec<u32>,
     level_starts: Vec<u32>,
@@ -196,122 +272,17 @@ pub struct SoaIr {
 }
 
 impl SoaIr {
-    /// Builds the flat arrays from the validated AoS gate list and its
-    /// topological order.
-    fn build(gates: &[Gate], topo: &[GateId]) -> SoaIr {
-        let n = gates.len();
-        let is_source = |g: &Gate| {
-            matches!(
-                g.kind,
-                GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-            )
-        };
-        let mut kinds = Vec::with_capacity(n);
-        let mut ops = Vec::with_capacity(n);
-        for (i, g) in gates.iter().enumerate() {
-            kinds.push(g.kind);
-            let mut slots = [i as u32; 3];
-            for (k, inp) in g.inputs.iter().enumerate() {
-                slots[k] = inp.0;
-            }
-            ops.push(slots);
-        }
-        // Levels: sources sit at 0; a combinational gate is one past its
-        // deepest operand. `topo` is topologically sorted, so operand
-        // levels are final when a gate is reached.
-        let mut level_of = vec![0u32; n];
-        let mut max_level = 0u32;
-        for &gid in topo {
-            let g = &gates[gid.index()];
-            let lvl = 1 + g
-                .inputs
-                .iter()
-                .map(|inp| level_of[inp.index()])
-                .max()
-                .unwrap_or(0);
-            level_of[gid.index()] = lvl;
-            max_level = max_level.max(lvl);
-        }
-        let num_levels = if topo.is_empty() {
-            0
-        } else {
-            max_level as usize + 1
-        };
-        // Bucket the combinational gates by (level, id): counting sort
-        // keeps the order deterministic and the per-level runs
-        // contiguous.
-        let mut counts = vec![0u32; num_levels + 1];
-        for &gid in topo {
-            counts[level_of[gid.index()] as usize] += 1;
-        }
-        let mut level_starts = vec![0u32; num_levels + 1];
-        let mut acc = 0u32;
-        for (l, c) in counts.iter().enumerate().take(num_levels) {
-            level_starts[l] = acc;
-            acc += c;
-        }
-        level_starts[num_levels] = acc;
-        let mut cursor = level_starts.clone();
-        let mut level_order = vec![0u32; topo.len()];
-        for (i, g) in gates.iter().enumerate() {
-            if is_source(g) {
-                continue;
-            }
-            let l = level_of[i] as usize;
-            level_order[cursor[l] as usize] = i as u32;
-            cursor[l] += 1;
-        }
-        // CSR fanout: per net, the combinational gates reading it, in
-        // gate-id order.
-        let mut fan_counts = vec![0u32; n + 1];
-        for g in gates {
-            if is_source(g) {
-                continue;
-            }
-            for inp in &g.inputs {
-                fan_counts[inp.index()] += 1;
-            }
-        }
-        let mut fanout_starts = vec![0u32; n + 1];
-        let mut acc = 0u32;
-        for (i, c) in fan_counts.iter().enumerate().take(n) {
-            fanout_starts[i] = acc;
-            acc += c;
-        }
-        fanout_starts[n] = acc;
-        let mut fan_cursor: Vec<u32> = fanout_starts.clone();
-        let mut fanout_edges = vec![0u32; acc as usize];
-        for (i, g) in gates.iter().enumerate() {
-            if is_source(g) {
-                continue;
-            }
-            for inp in &g.inputs {
-                fanout_edges[fan_cursor[inp.index()] as usize] = i as u32;
-                fan_cursor[inp.index()] += 1;
-            }
-        }
-        SoaIr {
-            kinds,
-            ops,
-            level_of,
-            level_order,
-            level_starts,
-            fanout_starts,
-            fanout_edges,
-        }
-    }
-
     /// The kind of gate `g`.
     #[inline]
     pub fn kind(&self, g: u32) -> GateKind {
-        self.kinds[g as usize]
+        self.gates[g as usize].kind
     }
 
     /// The three operand slots of gate `g`; unused slots hold `g`
     /// itself, so every slot indexes a valid net.
     #[inline]
     pub fn operands(&self, g: u32) -> [u32; 3] {
-        self.ops[g as usize]
+        self.gates[g as usize].inputs.slots.map(|net| net.0)
     }
 
     /// The level of gate `g`: 0 for sources, `1 + max(operand levels)`
@@ -357,14 +328,13 @@ impl SoaIr {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Netlist {
     name: String,
-    gates: Vec<Gate>,
     net_names: Vec<Option<String>>,
     outputs: Vec<(String, NetId)>,
     inputs: Vec<NetId>,
     dffs: Vec<GateId>,
     /// Combinational gates in topological order (sources excluded).
     topo: Vec<GateId>,
-    /// Structure-of-arrays mirror of `gates` + levelization, built once.
+    /// The gate store and its levelization, built once.
     soa: SoaIr,
 }
 
@@ -376,7 +346,7 @@ impl Netlist {
 
     /// Number of gates (including inputs, constants and flops).
     pub fn num_gates(&self) -> usize {
-        self.gates.len()
+        self.soa.gates.len()
     }
 
     /// Number of nets.
@@ -387,12 +357,11 @@ impl Netlist {
     /// Value buffers in [`crate::sim`] and [`crate::soa`] are sized by
     /// this and indexed by `NetId`.
     pub fn num_nets(&self) -> usize {
-        self.gates.len()
+        self.soa.gates.len()
     }
 
-    /// The structure-of-arrays view: flat kind/operand arrays, gate
-    /// levels, and a CSR fanout table, built once at
-    /// [`NetlistBuilder::finish`] time.
+    /// The flat view: gate kinds and operand slots, gate levels, and a
+    /// CSR fanout table, built once at [`NetlistBuilder::finish`] time.
     pub fn soa(&self) -> &SoaIr {
         &self.soa
     }
@@ -403,12 +372,13 @@ impl Netlist {
     ///
     /// Panics if out of range.
     pub fn gate(&self, id: GateId) -> &Gate {
-        &self.gates[id.index()]
+        &self.soa.gates[id.index()]
     }
 
     /// Iterates all gates in id order.
     pub fn gates(&self) -> impl Iterator<Item = (GateId, &Gate)> {
-        self.gates
+        self.soa
+            .gates
             .iter()
             .enumerate()
             .map(|(i, g)| (GateId(i as u32), g))
@@ -441,12 +411,16 @@ impl Netlist {
 
     /// Total area in gate equivalents.
     pub fn area(&self) -> f64 {
-        self.gates.iter().map(|g| g.kind.gate_equivalents()).sum()
+        self.soa
+            .gates
+            .iter()
+            .map(|g| g.kind.gate_equivalents())
+            .sum()
     }
 
     /// Fanout lists: for each net, the gates reading it.
     pub fn fanouts(&self) -> Vec<Vec<GateId>> {
-        let mut fan = vec![Vec::new(); self.gates.len()];
+        let mut fan = vec![Vec::new(); self.num_nets()];
         for (id, g) in self.gates() {
             for &inp in &g.inputs {
                 fan[inp.index()].push(id);
@@ -457,10 +431,9 @@ impl Netlist {
 
     /// Marks every flip-flop scannable (full scan).
     pub fn with_full_scan(mut self) -> Netlist {
-        for (i, g) in self.gates.iter_mut().enumerate() {
+        for g in &mut self.soa.gates {
             if let GateKind::Dff { scan } = &mut g.kind {
                 *scan = true;
-                self.soa.kinds[i] = g.kind;
             }
         }
         self
@@ -473,11 +446,10 @@ impl Netlist {
     /// Panics if an id is not a flip-flop.
     pub fn with_scan(mut self, flops: &[GateId]) -> Netlist {
         for &f in flops {
-            match &mut self.gates[f.index()].kind {
+            match &mut self.soa.gates[f.index()].kind {
                 GateKind::Dff { scan } => *scan = true,
                 _ => panic!("{f} is not a flip-flop"),
             }
-            self.soa.kinds[f.index()] = self.gates[f.index()].kind;
         }
         self
     }
@@ -487,7 +459,7 @@ impl Netlist {
         self.dffs
             .iter()
             .copied()
-            .filter(|&f| matches!(self.gates[f.index()].kind, GateKind::Dff { scan: true }))
+            .filter(|&f| matches!(self.gate(f).kind, GateKind::Dff { scan: true }))
             .collect()
     }
 }
@@ -516,9 +488,10 @@ impl NetlistBuilder {
         }
     }
 
-    fn push(&mut self, kind: GateKind, inputs: Vec<NetId>, name: Option<String>) -> NetId {
+    fn push(&mut self, kind: GateKind, inputs: &[NetId], name: Option<String>) -> NetId {
         debug_assert_eq!(inputs.len(), kind.arity());
         let id = NetId(self.gates.len() as u32);
+        let inputs = Operands::new(id, inputs);
         self.gates.push(Gate { kind, inputs });
         self.net_names.push(name);
         id
@@ -526,7 +499,7 @@ impl NetlistBuilder {
 
     /// Adds a named primary input bit.
     pub fn input(&mut self, name: impl Into<String>) -> NetId {
-        self.push(GateKind::Input, Vec::new(), Some(name.into()))
+        self.push(GateKind::Input, &[], Some(name.into()))
     }
 
     /// Adds a `width`-bit primary input bus named `name[0..width)`,
@@ -542,7 +515,7 @@ impl NetlistBuilder {
         if let Some(z) = self.const0 {
             return z;
         }
-        let z = self.push(GateKind::Const(false), Vec::new(), Some("const0".into()));
+        let z = self.push(GateKind::Const(false), &[], Some("const0".into()));
         self.const0 = Some(z);
         z
     }
@@ -552,7 +525,7 @@ impl NetlistBuilder {
         if let Some(o) = self.const1 {
             return o;
         }
-        let o = self.push(GateKind::Const(true), Vec::new(), Some("const1".into()));
+        let o = self.push(GateKind::Const(true), &[], Some("const1".into()));
         self.const1 = Some(o);
         o
     }
@@ -577,7 +550,7 @@ impl NetlistBuilder {
     /// Panics if the operand count does not match the kind's arity.
     pub fn gate(&mut self, kind: GateKind, inputs: &[NetId]) -> NetId {
         assert_eq!(inputs.len(), kind.arity(), "{kind:?} arity mismatch");
-        self.push(kind, inputs.to_vec(), None)
+        self.push(kind, inputs, None)
     }
 
     /// Replays a gate verbatim, preserving indices — no constant
@@ -590,32 +563,32 @@ impl NetlistBuilder {
     /// Panics if the operand count does not match the kind's arity.
     pub fn push_gate(&mut self, kind: GateKind, inputs: &[NetId], name: Option<String>) -> NetId {
         assert_eq!(inputs.len(), kind.arity(), "{kind:?} arity mismatch");
-        self.push(kind, inputs.to_vec(), name)
+        self.push(kind, inputs, name)
     }
 
     /// NOT gate.
     pub fn not(&mut self, a: NetId) -> NetId {
-        self.push(GateKind::Not, vec![a], None)
+        self.push(GateKind::Not, &[a], None)
     }
 
     /// 2-input AND.
     pub fn and2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.push(GateKind::And, vec![a, b], None)
+        self.push(GateKind::And, &[a, b], None)
     }
 
     /// 2-input OR.
     pub fn or2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.push(GateKind::Or, vec![a, b], None)
+        self.push(GateKind::Or, &[a, b], None)
     }
 
     /// 2-input XOR.
     pub fn xor2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.push(GateKind::Xor, vec![a, b], None)
+        self.push(GateKind::Xor, &[a, b], None)
     }
 
     /// 2:1 mux: `sel ? a : b`.
     pub fn mux2(&mut self, sel: NetId, a: NetId, b: NetId) -> NetId {
-        self.push(GateKind::Mux, vec![sel, a, b], None)
+        self.push(GateKind::Mux, &[sel, a, b], None)
     }
 
     /// Word-wide 2:1 mux.
@@ -638,30 +611,27 @@ impl NetlistBuilder {
     /// # Panics
     ///
     /// Panics if `options` is empty or widths differ.
-    pub fn mux_n(&mut self, sel_bits: &[NetId], options: &[Vec<NetId>]) -> Vec<NetId> {
+    pub fn mux_n<B: AsRef<[NetId]>>(&mut self, sel_bits: &[NetId], options: &[B]) -> Vec<NetId> {
         assert!(!options.is_empty());
-        let width = options[0].len();
-        assert!(options.iter().all(|o| o.len() == width));
-        let mut layer: Vec<Vec<NetId>> = options.to_vec();
+        let width = options[0].as_ref().len();
+        assert!(options.iter().all(|o| o.as_ref().len() == width));
+        let mut layer: Vec<Cow<'_, [NetId]>> =
+            options.iter().map(|o| Cow::Borrowed(o.as_ref())).collect();
         for &sel in sel_bits {
             if layer.len() == 1 {
                 break;
             }
-            let mut next = Vec::new();
-            let mut i = 0;
-            while i < layer.len() {
-                if i + 1 < layer.len() {
-                    let hi = layer[i + 1].clone();
-                    let lo = layer[i].clone();
-                    next.push(self.mux_bus(sel, &hi, &lo));
-                } else {
-                    next.push(layer[i].clone());
+            let mut next = Vec::with_capacity(layer.len().div_ceil(2));
+            let mut pairs = layer.into_iter();
+            while let Some(lo) = pairs.next() {
+                match pairs.next() {
+                    Some(hi) => next.push(Cow::Owned(self.mux_bus(sel, &hi, &lo))),
+                    None => next.push(lo),
                 }
-                i += 2;
             }
             layer = next;
         }
-        layer[0].clone()
+        layer.swap_remove(0).into_owned()
     }
 
     /// A bank of D flip-flops with optional load enable (`en == None`
@@ -677,13 +647,13 @@ impl NetlistBuilder {
             let ff = NetId(self.gates.len() as u32);
             match en {
                 None => {
-                    self.push(GateKind::Dff { scan }, vec![bit], None);
+                    self.push(GateKind::Dff { scan }, &[bit], None);
                     q.push(ff);
                 }
                 Some(e) => {
                     // flop at index ff+1; mux at ff reads (e, d, q=ff+1)
-                    let mux = self.push(GateKind::Mux, vec![e, bit, NetId(ff.0 + 1)], None);
-                    let flop = self.push(GateKind::Dff { scan }, vec![mux], None);
+                    let mux = self.push(GateKind::Mux, &[e, bit, NetId(ff.0 + 1)], None);
+                    let flop = self.push(GateKind::Dff { scan }, &[mux], None);
                     q.push(flop);
                 }
             }
@@ -728,7 +698,7 @@ impl NetlistBuilder {
     /// with register↔logic cycles (data paths) are built.
     pub fn dff_uninit(&mut self, scan: bool) -> NetId {
         let id = NetId(self.gates.len() as u32);
-        self.push(GateKind::Dff { scan }, vec![id], None)
+        self.push(GateKind::Dff { scan }, &[id], None)
     }
 
     /// Rewires a flip-flop's data input.
@@ -739,7 +709,7 @@ impl NetlistBuilder {
     pub fn set_dff_input(&mut self, ff: NetId, d: NetId) {
         let gate = &mut self.gates[ff.index()];
         assert!(gate.kind.is_dff(), "{ff} is not a flip-flop");
-        gate.inputs[0] = d;
+        gate.inputs.slots[0] = d;
     }
 
     /// Ripple-carry adder; returns `(sum, carry_out)`.
@@ -842,7 +812,7 @@ impl NetlistBuilder {
         assert_eq!(a.len(), b.len());
         let mut acc = self.one();
         for (&x, &y) in a.iter().zip(b) {
-            let e = self.push(GateKind::Xnor, vec![x, y], None);
+            let e = self.push(GateKind::Xnor, &[x, y], None);
             acc = self.and2(acc, e);
         }
         acc
@@ -856,7 +826,7 @@ impl NetlistBuilder {
         for (&x, &y) in a.iter().zip(b) {
             let nx = self.not(x);
             let strict = self.and2(nx, y);
-            let eq = self.push(GateKind::Xnor, vec![x, y], None);
+            let eq = self.push(GateKind::Xnor, &[x, y], None);
             let keep = self.and2(eq, lt);
             lt = self.or2(strict, keep);
         }
@@ -904,11 +874,11 @@ impl NetlistBuilder {
     /// `(kind, inputs, net name)` — the companion of
     /// [`push_gate`](Self::push_gate) for rewrite passes that need to
     /// rewire an in-progress netlist.
-    pub fn gates_snapshot(&self) -> Vec<(GateKind, Vec<NetId>, Option<String>)> {
+    pub fn gates_snapshot(&self) -> Vec<(GateKind, Operands, Option<String>)> {
         self.gates
             .iter()
             .zip(&self.net_names)
-            .map(|(g, n)| (g.kind, g.inputs.clone(), n.clone()))
+            .map(|(g, n)| (g.kind, g.inputs, n.clone()))
             .collect()
     }
 
@@ -920,17 +890,22 @@ impl NetlistBuilder {
     /// duplicate output names, or combinational cycles.
     pub fn finish(self) -> Result<Netlist, NetlistError> {
         let n = self.gates.len();
-        let mut seen = HashMap::new();
+        let mut seen = HashSet::with_capacity(self.outputs.len());
         for (name, net) in &self.outputs {
             if net.index() >= n {
                 return Err(NetlistError::DanglingNet { net: *net });
             }
-            if seen.insert(name.clone(), ()).is_some() {
+            if !seen.insert(name.as_str()) {
                 return Err(NetlistError::DuplicateOutput { name: name.clone() });
             }
         }
+        // Validate every gate and count, per net, the combinational gates
+        // reading it: the CSR fanout table that both Kahn's algorithm
+        // and the evaluators walk.
         let mut inputs = Vec::new();
         let mut dffs = Vec::new();
+        let mut fanout_starts = vec![0u32; n + 1];
+        let mut comb_count = 0;
         for (i, g) in self.gates.iter().enumerate() {
             if g.inputs.len() != g.kind.arity() {
                 return Err(NetlistError::Arity {
@@ -947,87 +922,116 @@ impl NetlistBuilder {
             match g.kind {
                 GateKind::Input => inputs.push(NetId(i as u32)),
                 GateKind::Dff { .. } => dffs.push(GateId(i as u32)),
-                _ => {}
+                GateKind::Const(_) => {}
+                _ => {
+                    comb_count += 1;
+                    for &inp in &g.inputs {
+                        fanout_starts[inp.index() + 1] += 1;
+                    }
+                }
             }
         }
-        // Kahn levelization over combinational gates; DFF/Input/Const are
-        // sources.
-        let mut indeg = vec![0usize; n];
-        let mut fan: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for i in 0..n {
+            fanout_starts[i + 1] += fanout_starts[i];
+        }
+        // Fill the edges in gate-id order, counting each combinational
+        // gate's combinational operands as its Kahn in-degree.
+        let mut cursor = fanout_starts.clone();
+        let mut fanout_edges = vec![0u32; fanout_starts[n] as usize];
+        let mut indeg = vec![0u32; n];
         for (i, g) in self.gates.iter().enumerate() {
-            if matches!(
-                g.kind,
-                GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-            ) {
+            if is_source(g.kind) {
                 continue;
             }
             for &inp in &g.inputs {
-                let src = &self.gates[inp.index()];
-                if !matches!(
-                    src.kind,
-                    GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-                ) {
+                let slot = &mut cursor[inp.index()];
+                fanout_edges[*slot as usize] = i as u32;
+                *slot += 1;
+                if !is_source(self.gates[inp.index()].kind) {
                     indeg[i] += 1;
-                    fan[inp.index()].push(i);
                 }
             }
         }
-        let mut queue: Vec<usize> = (0..n)
-            .filter(|&i| {
-                indeg[i] == 0
-                    && !matches!(
-                        self.gates[i].kind,
-                        GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-                    )
-            })
-            .collect();
-        let mut topo = Vec::new();
+        // Kahn levelization over the combinational gates, with `topo` as
+        // its own queue. A gate's operands are all final when it is
+        // dequeued, so its level is one past its deepest operand
+        // (sources sit at 0).
+        let mut topo: Vec<GateId> = Vec::with_capacity(comb_count);
+        for (i, g) in self.gates.iter().enumerate() {
+            if indeg[i] == 0 && !is_source(g.kind) {
+                topo.push(GateId(i as u32));
+            }
+        }
+        let mut level_of = vec![0u32; n];
+        let mut max_level = 0u32;
         let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
+        while head < topo.len() {
+            let u = topo[head].index();
             head += 1;
-            topo.push(GateId(u as u32));
-            for &v in &fan[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push(v);
+            let lvl = 1 + self.gates[u]
+                .inputs
+                .iter()
+                .map(|inp| level_of[inp.index()])
+                .max()
+                .unwrap_or(0);
+            level_of[u] = lvl;
+            max_level = max_level.max(lvl);
+            let fan = fanout_starts[u] as usize..fanout_starts[u + 1] as usize;
+            for &v in &fanout_edges[fan] {
+                indeg[v as usize] -= 1;
+                if indeg[v as usize] == 0 {
+                    topo.push(GateId(v));
                 }
             }
         }
-        let comb_count = self
-            .gates
-            .iter()
-            .filter(|g| {
-                !matches!(
-                    g.kind,
-                    GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-                )
-            })
-            .count();
         if topo.len() != comb_count {
             let stuck = (0..n)
-                .find(|&i| {
-                    indeg[i] > 0
-                        && !matches!(
-                            self.gates[i].kind,
-                            GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-                        )
-                })
+                .find(|&i| indeg[i] > 0 && !is_source(self.gates[i].kind))
                 .expect("some gate is on the cycle");
             return Err(NetlistError::CombinationalCycle {
                 gate: GateId(stuck as u32),
             });
         }
-        let soa = SoaIr::build(&self.gates, &topo);
+        // Bucket the combinational gates by (level, id): counting sort
+        // keeps the order deterministic and the per-level runs
+        // contiguous.
+        let num_levels = if topo.is_empty() {
+            0
+        } else {
+            max_level as usize + 1
+        };
+        let mut level_starts = vec![0u32; num_levels + 1];
+        for &gid in &topo {
+            level_starts[level_of[gid.index()] as usize + 1] += 1;
+        }
+        for l in 0..num_levels {
+            level_starts[l + 1] += level_starts[l];
+        }
+        let mut cursor = level_starts.clone();
+        let mut level_order = vec![0u32; topo.len()];
+        for (i, g) in self.gates.iter().enumerate() {
+            if is_source(g.kind) {
+                continue;
+            }
+            let slot = &mut cursor[level_of[i] as usize];
+            level_order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
         Ok(Netlist {
             name: self.name,
-            gates: self.gates,
             net_names: self.net_names,
             outputs: self.outputs,
             inputs,
             dffs,
             topo,
-            soa,
+            soa: SoaIr {
+                gates: self.gates,
+                level_of,
+                level_order,
+                level_starts,
+                fanout_starts,
+                fanout_edges,
+            },
         })
     }
 }

@@ -210,18 +210,22 @@ impl Value {
 /// Parses a complete JSON document (trailing whitespace allowed,
 /// anything else after the first value is an error).
 pub fn parse(s: &str) -> Result<Value, String> {
-    let bytes = s.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        src: s,
+        bytes: s.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != s.len() {
         return Err(format!("trailing input at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -361,13 +365,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // slicing at char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("empty string tail")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the unescaped run up to the next quote or
+                    // backslash. Both are ASCII, so they never fall
+                    // inside a multi-byte scalar and the run is a valid
+                    // `str` slice.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }

@@ -48,11 +48,11 @@ structural-smoke: build
     ./target/release/hlstb sweep --designs figure1,diffeq \
         --schedulers list,io-aware,asap,force-directed=1 \
         --policies left-edge,dsatur,io-max,boundary,loop-avoiding,avra \
-        --threads 1 --no-cache --json >structural_serial.json
+        --widths 4,8 --threads 1 --no-cache --json >structural_serial.json
     ./target/release/hlstb sweep --designs figure1,diffeq \
         --schedulers list,io-aware,asap,force-directed=1 \
         --policies left-edge,dsatur,io-max,boundary,loop-avoiding,avra \
-        --threads 2 --cache --json >structural_parallel.json
+        --widths 4,8 --threads 2 --cache --json >structural_parallel.json
     cmp structural_serial.json structural_parallel.json
     rm -f structural_serial.json structural_parallel.json
 
